@@ -185,30 +185,25 @@ fn bench_throughput(o: &Opts) {
     let timeseries = bench_timeseries(o);
     let decompress = bench_decompress(o);
     let stage_breakdown = bench_stage_breakdown(o);
-    let kernels = bench_kernels();
     let json = format!(
         concat!(
-            "{{\n  \"schema\": \"qoz-suite/bench-throughput/v7\",\n",
+            "{{\n  \"schema\": \"qoz-suite/bench-throughput/v8\",\n",
             "  \"size_class\": \"{:?}\",\n",
             "  \"cpu_features\": \"{}\",\n",
-            "  \"kernel_path\": \"{}\",\n",
             "  \"unit\": \"MB/s of raw f32 data\",\n",
             "  \"entries\": [\n{}\n  ],\n",
             "  \"random_access\": [\n{}\n  ],\n",
             "  \"timeseries\": [\n{}\n  ],\n",
             "  \"decompress\": [\n{}\n  ],\n",
-            "  \"stage_breakdown\": [\n{}\n  ],\n",
-            "  \"kernels\": [\n{}\n  ]\n}}\n"
+            "  \"stage_breakdown\": [\n{}\n  ]\n}}\n"
         ),
         o.size,
         qoz_codec::simd::cpu_features(),
-        qoz_codec::simd::selected().name(),
         entries.join(",\n"),
         random_access.join(",\n"),
         timeseries.join(",\n"),
         decompress.join(",\n"),
-        stage_breakdown.join(",\n"),
-        kernels.join(",\n")
+        stage_breakdown.join(",\n")
     );
     if let Some(dir) = std::path::Path::new(&path).parent() {
         std::fs::create_dir_all(dir).unwrap();
@@ -811,185 +806,6 @@ fn bench_stage_breakdown(o: &Opts) -> Vec<String> {
             overhead_pct
         ));
     }
-    rows
-}
-
-/// The kernels axis (new in schema v7): the scalar reference loops
-/// timed head-to-head against the runtime-dispatched SIMD kernels on
-/// the three vectorized hot paths — linear-scale quantization, the
-/// fused interpolation stencils, and Huffman histogramming. The two
-/// variants are exercised through the same public entry points the
-/// engine uses, on smooth mostly-predictable inputs (the compressor's
-/// common case), best-of-N per variant. Output bytes are bit-identical
-/// across paths, so the speedup column is the whole story.
-fn bench_kernels() -> Vec<String> {
-    use qoz_codec::huffman::dense_counts;
-    use qoz_codec::simd::{quantize_block, KernelPath, QuantSpec, BLOCK};
-    use qoz_codec::LinearQuantizer;
-    use qoz_predict::simd::fill_preds;
-    use qoz_predict::traverse::{LineRun, RunStencil};
-    use qoz_predict::InterpKind;
-
-    const N: usize = 1 << 19;
-    const TRIALS: usize = 5;
-    let dispatched = qoz_codec::simd::selected();
-    println!(
-        "\n--- kernels: scalar vs dispatched ({}; cpu: {}) ---",
-        dispatched.name(),
-        qoz_codec::simd::cpu_features()
-    );
-    println!(
-        "{:<16} {:<6} {:>12} {:>14} {:>8}",
-        "stage", "dtype", "scalar MB/s", "dispatch MB/s", "speedup"
-    );
-
-    let best_of = |f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..TRIALS {
-            let t0 = std::time::Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let mut rows = Vec::new();
-    let mut row = |stage: &str, dtype: &str, kernel: &str, bytes: usize, t_s: f64, t_d: f64| {
-        let s_mbps = bytes as f64 / t_s / 1e6;
-        let d_mbps = bytes as f64 / t_d / 1e6;
-        let speedup = t_s / t_d;
-        println!("{stage:<16} {dtype:<6} {s_mbps:>12.1} {d_mbps:>14.1} {speedup:>7.2}x");
-        rows.push(format!(
-            concat!(
-                "    {{\"stage\": \"{}\", \"dtype\": \"{}\", \"kernel\": \"{}\", ",
-                "\"points\": {}, \"scalar_mbps\": {:.3}, ",
-                "\"dispatched_mbps\": {:.3}, \"speedup\": {:.3}}}"
-            ),
-            stage, dtype, kernel, N, s_mbps, d_mbps, speedup
-        ));
-    };
-
-    // Quantizer: smooth field, predictions within a few bound-widths of
-    // the value so nearly every lane takes the regular (vectorized)
-    // route, like interpolation residuals do.
-    let q = LinearQuantizer::new(1e-3);
-    let spec = QuantSpec::from_quantizer(&q).expect("default radius is SIMD-safe");
-    fn quantize_sweep<T: qoz_tensor::Scalar>(
-        path: KernelPath,
-        spec: &QuantSpec,
-        vals: &[T],
-        preds: &[f64],
-    ) -> u32 {
-        let mut vals_f = [0f64; BLOCK];
-        let mut codes = [0u32; BLOCK];
-        let mut recons = [T::from_f64(0.0); BLOCK];
-        let mut acc = 0u32;
-        for (v, p) in vals.chunks(BLOCK).zip(preds.chunks(BLOCK)) {
-            let m = v.len();
-            quantize_block(
-                path,
-                spec,
-                v,
-                p,
-                &mut vals_f[..m],
-                &mut codes[..m],
-                &mut recons[..m],
-            );
-            acc ^= codes[m - 1];
-        }
-        acc
-    }
-    let vals_f64: Vec<f64> = (0..N).map(|i| (i as f64 * 1e-3).sin() * 4.0).collect();
-    let preds: Vec<f64> = vals_f64.iter().map(|v| v + 2.7e-3).collect();
-    let vals_f32: Vec<f32> = vals_f64.iter().map(|&v| v as f32).collect();
-    for (dtype, bytes) in [("f32", 4 * N), ("f64", 8 * N)] {
-        let (t_s, t_d) = if dtype == "f32" {
-            (
-                best_of(&mut || {
-                    std::hint::black_box(quantize_sweep(
-                        KernelPath::Scalar,
-                        &spec,
-                        &vals_f32,
-                        &preds,
-                    ));
-                }),
-                best_of(&mut || {
-                    std::hint::black_box(quantize_sweep(dispatched, &spec, &vals_f32, &preds));
-                }),
-            )
-        } else {
-            (
-                best_of(&mut || {
-                    std::hint::black_box(quantize_sweep(
-                        KernelPath::Scalar,
-                        &spec,
-                        &vals_f64,
-                        &preds,
-                    ));
-                }),
-                best_of(&mut || {
-                    std::hint::black_box(quantize_sweep(dispatched, &spec, &vals_f64, &preds));
-                }),
-            )
-        };
-        row("quantize", dtype, dispatched.name(), bytes, t_s, t_d);
-    }
-
-    // Stencils: interior line runs over a smooth buffer, the geometry
-    // the traversal emits on contiguous lines (step 2s, neighbours at
-    // ±s / ±3s with s = 1).
-    for kind in [InterpKind::Linear, InterpKind::Cubic, InterpKind::Quadratic] {
-        let stencil_sweep = |path: KernelPath| {
-            let mut preds = [0f64; BLOCK];
-            let mut base = 3usize;
-            while base + 2 * BLOCK + 3 < N {
-                let run = LineRun {
-                    off0: base,
-                    step: 2,
-                    cnt: BLOCK,
-                    d1: 1,
-                    d3: 3,
-                    stencil: RunStencil::Interp(kind),
-                };
-                fill_preds(path, &vals_f64, &run, &mut preds[..BLOCK]);
-                std::hint::black_box(preds[BLOCK - 1]);
-                base += 2 * BLOCK;
-            }
-        };
-        let t_s = best_of(&mut || stencil_sweep(KernelPath::Scalar));
-        let t_d = best_of(&mut || stencil_sweep(dispatched));
-        let name = match kind {
-            InterpKind::Linear => "stencil_linear",
-            InterpKind::Cubic => "stencil_cubic",
-            InterpKind::Quadratic => "stencil_quadratic",
-        };
-        row(name, "f64", dispatched.name(), 8 * N / 2, t_s, t_d);
-    }
-
-    // Histogram: quantizer-bin-like symbols, long runs of the centre
-    // code (smooth data) with a pseudo-random remainder. The split
-    // variant is plain integer code, not SIMD, so it is reported under
-    // its own kernel tag.
-    let radius = LinearQuantizer::DEFAULT_RADIUS;
-    let symbols: Vec<u32> = (0..N)
-        .map(|i| {
-            if i % 7 == 0 {
-                radius + ((i * 2654435761) % 96) as u32 - 48
-            } else {
-                radius
-            }
-        })
-        .collect();
-    let max = *symbols.iter().max().unwrap() as usize;
-    let mut counts = Vec::new();
-    let t_s = best_of(&mut || {
-        dense_counts(&symbols, max, &mut counts, false);
-        std::hint::black_box(counts[max]);
-    });
-    let t_d = best_of(&mut || {
-        dense_counts(&symbols, max, &mut counts, true);
-        std::hint::black_box(counts[max]);
-    });
-    row("histogram", "u32", "split4", 4 * N, t_s, t_d);
     rows
 }
 

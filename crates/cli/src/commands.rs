@@ -596,27 +596,9 @@ pub fn run(cmd: Command) -> Result<Vec<String>, CliError> {
                 })?;
                 Ok(snap.render_text().lines().map(str::to_string).collect())
             } else {
-                // The engine publishes `qoz_kernel_path{path=...} = 1` for
-                // the SIMD path its last run dispatched to; before the
-                // daemon has compressed anything no path is set yet.
-                let kernel = stats
-                    .telemetry
-                    .as_ref()
-                    .and_then(|snap| {
-                        snap.gauges.iter().find_map(|(key, v)| {
-                            if key.name != "qoz_kernel_path" || *v != 1 {
-                                return None;
-                            }
-                            key.labels
-                                .iter()
-                                .find(|(k, _)| k == "path")
-                                .map(|(_, p)| p.clone())
-                        })
-                    })
-                    .unwrap_or_else(|| "n/a".to_string());
                 Ok(vec![format!(
                     "{server}: served {} | shed {} | deadline-missed {} | panics {} \
-                     | bad frames {} | warm {} | cold {} | drain-rejects {} | kernel {}",
+                     | bad frames {} | warm {} | cold {} | drain-rejects {}",
                     stats.served,
                     stats.shed,
                     stats.deadline_missed,
@@ -624,8 +606,7 @@ pub fn run(cmd: Command) -> Result<Vec<String>, CliError> {
                     stats.bad_frames,
                     stats.warm_hits,
                     stats.cold_tunes,
-                    stats.shutdown_rejects,
-                    kernel
+                    stats.shutdown_rejects
                 )])
             }
         }

@@ -129,56 +129,6 @@ fn canonical_codes_into(lengths: &mut [(u32, u32)], out: &mut Vec<(u32, u32, u64
 /// back to a hash map.
 const DENSE_SYMBOL_SLACK: usize = 1 << 16;
 
-/// Number of interleaved count tables for the split histogram.
-const HIST_SPLIT: usize = 4;
-
-/// Inputs small enough that chain-breaking cannot pay for the extra
-/// table zeroing/merging, or ranges wide enough that `K` tables would
-/// blow the cache, stay on the single-table loop. The split path also
-/// honours `QOZ_FORCE_SCALAR=1`, which pins every pre-SIMD hot loop.
-fn split_histogram_applies(len: usize, max: usize) -> bool {
-    const MIN_SYMBOLS: usize = 1 << 12;
-    const MAX_RANGE: usize = 1 << 17;
-    len >= MIN_SYMBOLS && max < MAX_RANGE && !qoz_tensor::simd::force_scalar()
-}
-
-/// Dense frequency counting: on return `counts[s]` holds the number of
-/// occurrences of `s` in `symbols`, for `s <= max` (entries past `max`
-/// are scratch garbage). Every symbol must be `<= max`.
-///
-/// Quantizer bins repeat heavily — long runs of the same code on smooth
-/// data — which serializes the naive loop on the store-to-load
-/// forwarding latency of a single counter. With `split` the input is
-/// counted into `HIST_SPLIT` interleaved tables and merged at the end;
-/// pure integer arithmetic, so the merged counts are exactly the naive
-/// ones. The encoder picks the variant itself; the parameter is public
-/// so the bench harness can time the two head-to-head.
-pub fn dense_counts(symbols: &[u32], max: usize, counts: &mut Vec<u64>, split: bool) {
-    counts.clear();
-    if split {
-        counts.resize(HIST_SPLIT * (max + 1), 0);
-        let stride = max + 1;
-        let mut it = symbols.chunks_exact(HIST_SPLIT);
-        for ch in &mut it {
-            counts[ch[0] as usize] += 1;
-            counts[stride + ch[1] as usize] += 1;
-            counts[2 * stride + ch[2] as usize] += 1;
-            counts[3 * stride + ch[3] as usize] += 1;
-        }
-        for &s in it.remainder() {
-            counts[s as usize] += 1;
-        }
-        for i in 0..stride {
-            counts[i] += counts[stride + i] + counts[2 * stride + i] + counts[3 * stride + i];
-        }
-    } else {
-        counts.resize(max + 1, 0);
-        for &s in symbols {
-            counts[s as usize] += 1;
-        }
-    }
-}
-
 /// symbol -> (length, code) lookup, dense where the symbol range allows.
 #[derive(Debug, Clone)]
 enum SymbolTable {
@@ -290,13 +240,12 @@ impl HuffmanEncoder {
         let mut freqs: Vec<(u32, u64)>;
         if max <= symbols.len().saturating_mul(16) + DENSE_SYMBOL_SLACK {
             let counts = &mut scratch.counts;
-            dense_counts(
-                symbols,
-                max,
-                counts,
-                split_histogram_applies(symbols.len(), max),
-            );
-            freqs = counts[..max + 1]
+            counts.clear();
+            counts.resize(max + 1, 0);
+            for &s in symbols {
+                counts[s as usize] += 1;
+            }
+            freqs = counts
                 .iter()
                 .enumerate()
                 .filter(|&(_, &c)| c > 0)
@@ -601,40 +550,6 @@ impl HuffmanDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The split-table histogram must produce exactly the naive counts:
-    /// run-heavy and mixed inputs, lengths straddling the `MIN_SYMBOLS`
-    /// threshold and every `chunks_exact` remainder size.
-    #[test]
-    fn split_histogram_counts_match_naive() {
-        let max = 300usize;
-        for extra in [0usize, 1, 2, 3] {
-            for base_len in [64usize, (1 << 12) - 2, 1 << 12, 1 << 14] {
-                let len = base_len + extra;
-                let mut symbols = Vec::with_capacity(len);
-                for i in 0..len {
-                    // Long runs (the store-forwarding worst case) mixed
-                    // with a pseudo-random tail of the bin range.
-                    let s = if i % 3 != 0 {
-                        (max / 2) as u32
-                    } else {
-                        ((i * 2654435761) % (max + 1)) as u32
-                    };
-                    symbols.push(s);
-                }
-                let mut counts = Vec::new();
-                dense_counts(&symbols, max, &mut counts, true);
-                let mut naive = Vec::new();
-                dense_counts(&symbols, max, &mut naive, false);
-                assert_eq!(&counts[..max + 1], &naive[..max + 1], "len={len}");
-                let mut byhand = vec![0u64; max + 1];
-                for &s in &symbols {
-                    byhand[s as usize] += 1;
-                }
-                assert_eq!(&counts[..max + 1], &byhand[..], "len={len}");
-            }
-        }
-    }
 
     fn roundtrip(symbols: &[u32]) -> Vec<u32> {
         let enc = HuffmanEncoder::from_symbols(symbols).unwrap();

@@ -207,6 +207,31 @@ mod tests {
     }
 
     #[test]
+    fn half_ties_round_away_from_zero() {
+        // At bound 0.5 a code step is 1, so a residual of exactly k + 0.5
+        // is a tie, which `f64::round` breaks away from zero.
+        let q = LinearQuantizer::new(0.5);
+        let r = LinearQuantizer::DEFAULT_RADIUS as i64;
+        let below_half = 0.49999999999999994; // the largest f64 below 0.5
+        for (value, step) in [
+            (0.5, 1),
+            (-0.5, -1),
+            (1.5, 2),
+            (-1.5, -2),
+            (2.5, 3),
+            (3.5, 4),
+            (below_half, 0),
+            (-below_half, 0),
+        ] {
+            let out = q.quantize(value, 0.0);
+            assert_eq!(out.code as i64, r + step, "code of {value}");
+            assert_eq!(out.reconstructed, step as f64, "reconstruction of {value}");
+            let back: f64 = q.reconstruct(out.code, 0.0);
+            assert_eq!(back, out.reconstructed, "decoder reconstruction of {value}");
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn zero_bound_rejected() {
         let _ = LinearQuantizer::new(0.0);

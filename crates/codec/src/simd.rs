@@ -1,627 +1,64 @@
-//! Vectorized quantizer kernels with runtime dispatch.
+//! Kernel-path names kept for the `qozbench` benchmark.
 //!
-//! Block-granular versions of [`LinearQuantizer::quantize`] and
-//! [`LinearQuantizer::reconstruct`]: the engine hands over a batch of
-//! values and predictions, the kernel returns codes and reconstructions
-//! for every lane. The AVX2/SSE2/NEON paths are **bit-identical** to the
-//! scalar quantizer — same codes, same reconstructed bits, on every
-//! input including NaN/Inf and out-of-range residuals — which is what
-//! lets the compressed golden bitstreams stay pinned across dispatch
-//! paths.
-//!
-//! The two places bit-identity needs actual care:
-//!
-//! * **Rounding.** Rust's `f64::round()` rounds half *away from zero*;
-//!   the x86 vector rounding instructions only offer round-to-nearest-
-//!   *even*. The kernels emulate away-from-zero exactly: truncate toward
-//!   zero, then bump by one where the (exactly representable) fractional
-//!   part reaches ±0.5. On aarch64 `FRINTA` natively rounds ties away.
-//! * **No FMA, no reciprocal.** The scalar reference divides by `2e` and
-//!   rounds the product `2e·q` before adding the prediction; the vector
-//!   code uses the same `div`/`mul`+`add` sequence so every intermediate
-//!   rounds identically.
-//!
-//! Non-finite values fold into the range mask for free: ordered vector
-//! compares are false on NaN, so NaN/Inf lanes land in the
-//! "unpredictable" fixup exactly like the scalar early returns.
+//! The engine has one scalar per-point loop per direction; nothing in
+//! the workspace dispatches on these names. `qozbench` (a package of
+//! its own, built against these crates) still calls every item below,
+//! which is the only reason they stay.
 
-use crate::quantizer::LinearQuantizer;
-use qoz_tensor::Scalar;
-
-pub use qoz_tensor::simd::{
-    cpu_features, detect, force_scalar, selected, supported, supported_paths, KernelPath,
-};
-
-/// Maximum lanes per [`quantize_block`]/[`reconstruct_block`] call.
-/// Callers chunk longer runs; the kernels keep per-block staging on the
-/// stack.
-pub const BLOCK: usize = 64;
-
-/// Quantizer constants pre-derived for the block kernels.
-///
-/// Construction fails (returns `None`) when the code radius is too large
-/// for the i32-based vector conversions; callers then stay on the scalar
-/// per-point path (which has no such limit).
-#[derive(Debug, Clone, Copy)]
-pub struct QuantSpec {
-    /// The absolute error bound `e`.
-    pub e: f64,
-    /// `2e`, the quantization bucket width.
-    pub two_e: f64,
-    /// `(radius - 1) as f64`: residuals at or beyond this are
-    /// unpredictable.
-    pub limit: f64,
-    /// `radius as f64` (exact; the radius is capped at 2^30).
-    pub radius_f: f64,
-    /// `2 * radius`: codes must be in `1..num_codes`.
-    pub num_codes: u32,
+/// The per-point loop the engine runs. Kept because `qozbench` names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelPath {
+    /// The portable scalar loop, the only one there is.
+    Scalar,
 }
 
-impl QuantSpec {
-    /// Largest radius the vector kernels accept: codes stay well inside
-    /// i32 range so the f64→i32 conversions are value-preserving.
-    pub const MAX_RADIUS: u32 = 1 << 30;
-
-    /// Derive the block-kernel constants from a quantizer.
-    pub fn from_quantizer(q: &LinearQuantizer) -> Option<Self> {
-        if q.radius() > Self::MAX_RADIUS {
-            return None;
-        }
-        Some(QuantSpec {
-            e: q.error_bound(),
-            two_e: 2.0 * q.error_bound(),
-            limit: (q.radius() - 1) as f64,
-            radius_f: q.radius() as f64,
-            num_codes: q.num_codes(),
-        })
-    }
-}
-
-/// Quantize a block of values against their predictions, exactly as
-/// per-point [`LinearQuantizer::quantize`] would.
-///
-/// Outputs, for every lane `k`:
-/// * `vals_f[k]` — `vals[k].to_f64()` (the engine reuses it for the
-///   prediction-error statistic),
-/// * `codes[k]` — the Huffman-ready code, `0` for unpredictable lanes,
-/// * `recons[k]` — the reconstruction (the original value when
-///   unpredictable).
-///
-/// All slices must have the same length, at most [`BLOCK`]. An
-/// unsupported `path` silently degrades to scalar.
-pub fn quantize_block<T: Scalar>(
-    path: KernelPath,
-    spec: &QuantSpec,
-    vals: &[T],
-    preds: &[f64],
-    vals_f: &mut [f64],
-    codes: &mut [u32],
-    recons: &mut [T],
-) {
-    let n = vals.len();
-    assert!(n <= BLOCK, "block too large: {n} > {BLOCK}");
-    assert!(preds.len() == n && vals_f.len() == n && codes.len() == n && recons.len() == n);
-    for k in 0..n {
-        vals_f[k] = vals[k].to_f64();
-    }
-    let mut recons_f = [0f64; BLOCK];
-    quantize_core(path, spec, vals_f, preds, codes, &mut recons_f[..n]);
-    // Per-lane epilogue: the narrowing bound check through T and the
-    // unpredictable fallback, mirroring the scalar quantizer's tail.
-    for k in 0..n {
-        if codes[k] != 0 {
-            let recon = T::from_f64(recons_f[k]);
-            if (recon.to_f64() - vals_f[k]).abs() <= spec.e {
-                recons[k] = recon;
-                continue;
-            }
-            codes[k] = 0;
-        }
-        recons[k] = vals[k];
-    }
-}
-
-/// `true` when every code in the block is a regular in-range code — the
-/// precondition for [`reconstruct_block`]. Blocks containing `0`
-/// (unpredictable) or out-of-range codes go through the per-point
-/// decoder path instead.
-pub fn codes_regular(spec: &QuantSpec, codes: &[u32]) -> bool {
-    codes.iter().all(|&c| c != 0 && c < spec.num_codes)
-}
-
-/// Reconstruct a block of regular codes against their predictions,
-/// exactly as per-point [`LinearQuantizer::reconstruct`] would. Callers
-/// must have checked [`codes_regular`] first.
-pub fn reconstruct_block<T: Scalar>(
-    path: KernelPath,
-    spec: &QuantSpec,
-    codes: &[u32],
-    preds: &[f64],
-    out: &mut [T],
-) {
-    let n = codes.len();
-    assert!(n <= BLOCK, "block too large: {n} > {BLOCK}");
-    assert!(preds.len() == n && out.len() == n);
-    let mut recons_f = [0f64; BLOCK];
-    reconstruct_core(path, spec, codes, preds, &mut recons_f[..n]);
-    for k in 0..n {
-        out[k] = T::from_f64(recons_f[k]);
-    }
-}
-
-/// Core contract shared by every path: for lane `k`, when
-/// `|(v-p)/2e| < limit` set `codes[k] = round(scaled) + radius` (always
-/// non-zero) and `recons_f[k] = p + 2e·round(scaled)`; otherwise set
-/// `codes[k] = 0` (NaN/Inf lanes compare false and land here).
-// Safety: each arm checks (statically or dynamically) that the CPU
-// supports the feature the callee was compiled for.
-#[allow(unsafe_code)]
-fn quantize_core(
-    path: KernelPath,
-    spec: &QuantSpec,
-    vals_f: &[f64],
-    preds: &[f64],
-    codes: &mut [u32],
-    recons_f: &mut [f64],
-) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 if supported(KernelPath::Avx2) => unsafe {
-            x86::quantize_avx2(spec, vals_f, preds, codes, recons_f)
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::quantize_sse2(spec, vals_f, preds, codes, recons_f) },
-        #[cfg(target_arch = "aarch64")]
-        KernelPath::Neon => unsafe { neon::quantize_neon(spec, vals_f, preds, codes, recons_f) },
-        _ => quantize_scalar(spec, vals_f, preds, codes, recons_f),
-    }
-}
-
-// Safety: as for `quantize_core`.
-#[allow(unsafe_code)]
-fn reconstruct_core(
-    path: KernelPath,
-    spec: &QuantSpec,
-    codes: &[u32],
-    preds: &[f64],
-    recons_f: &mut [f64],
-) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 if supported(KernelPath::Avx2) => unsafe {
-            x86::reconstruct_avx2(spec, codes, preds, recons_f)
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::reconstruct_sse2(spec, codes, preds, recons_f) },
-        #[cfg(target_arch = "aarch64")]
-        KernelPath::Neon => unsafe { neon::reconstruct_neon(spec, codes, preds, recons_f) },
-        _ => reconstruct_scalar(spec, codes, preds, recons_f),
-    }
-}
-
-/// Scalar realization of the core contract; also handles vector tails.
-/// The arithmetic is lifted verbatim from [`LinearQuantizer::quantize`]
-/// (with `2e` hoisted, as the quantizer itself recomputes it per point
-/// from the same constant operands).
-fn quantize_scalar(
-    spec: &QuantSpec,
-    vals_f: &[f64],
-    preds: &[f64],
-    codes: &mut [u32],
-    recons_f: &mut [f64],
-) {
-    for k in 0..vals_f.len() {
-        let scaled = (vals_f[k] - preds[k]) / spec.two_e;
-        if scaled.abs() < spec.limit {
-            let r = scaled.round();
-            codes[k] = (r + spec.radius_f) as u32;
-            recons_f[k] = preds[k] + spec.two_e * r;
-        } else {
-            codes[k] = 0;
+impl KernelPath {
+    /// Stable lowercase name (`qozbench` prints it in its run header).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelPath::Scalar => "scalar",
         }
     }
 }
 
-fn reconstruct_scalar(spec: &QuantSpec, codes: &[u32], preds: &[f64], recons_f: &mut [f64]) {
-    for k in 0..codes.len() {
-        let r = codes[k] as f64 - spec.radius_f;
-        recons_f[k] = preds[k] + spec.two_e * r;
-    }
+/// The kernel path the engine runs: always [`KernelPath::Scalar`].
+/// Kept because `qozbench` prints it in its run header.
+pub fn selected() -> KernelPath {
+    KernelPath::Scalar
 }
 
-// Vector intrinsics are inherently `unsafe fn`s; the only obligations
-// are slice-bounds (checked by the `k + lanes <= n` loop guards) and
-// CPU support (checked by the dispatchers above before calling in).
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    use super::{quantize_scalar, reconstruct_scalar, QuantSpec};
-    use core::arch::x86_64::*;
-
-    /// Collapse a 4×f64 compare mask to a 4×i32 mask (each 64-bit lane
-    /// is all-ones or all-zero; keep the low half of each).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mask_pd_to_epi32(m: __m256d) -> __m128i {
-        let mi = _mm256_castpd_si256(m);
-        let lo = _mm256_castsi256_si128(mi);
-        let hi = _mm256_extracti128_si256::<1>(mi);
-        _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-            _mm_castsi128_ps(lo),
-            _mm_castsi128_ps(hi),
-        ))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn quantize_avx2(
-        spec: &QuantSpec,
-        vals_f: &[f64],
-        preds: &[f64],
-        codes: &mut [u32],
-        recons_f: &mut [f64],
-    ) {
-        let n = vals_f.len();
-        let two_e = _mm256_set1_pd(spec.two_e);
-        let limit = _mm256_set1_pd(spec.limit);
-        let radius = _mm256_set1_pd(spec.radius_f);
-        let half = _mm256_set1_pd(0.5);
-        let neg_half = _mm256_set1_pd(-0.5);
-        let one = _mm256_set1_pd(1.0);
-        let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let v = _mm256_loadu_pd(vals_f.as_ptr().add(k));
-            let p = _mm256_loadu_pd(preds.as_ptr().add(k));
-            let scaled = _mm256_div_pd(_mm256_sub_pd(v, p), two_e);
-            let in_range = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(scaled, abs_mask), limit);
-            // round() = half away from zero: trunc, then bump where the
-            // exact fractional part reaches ±0.5.
-            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaled);
-            let frac = _mm256_sub_pd(scaled, t);
-            let bump_pos = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, half), one);
-            let bump_neg = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(frac, neg_half), one);
-            let r = _mm256_sub_pd(_mm256_add_pd(t, bump_pos), bump_neg);
-            // code = r + radius is an exact small integer; the f64→i32
-            // conversion is value-preserving on in-range lanes and the
-            // mask zeroes the rest.
-            let code = _mm256_cvtpd_epi32(_mm256_add_pd(r, radius));
-            let masked = _mm_and_si128(code, mask_pd_to_epi32(in_range));
-            _mm_storeu_si128(codes.as_mut_ptr().add(k) as *mut __m128i, masked);
-            // mul then add — no FMA; the scalar reference rounds 2e·q
-            // before the sum.
-            let rec = _mm256_add_pd(p, _mm256_mul_pd(two_e, r));
-            _mm256_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 4;
+/// Comma-separated list of the vector feature sets the running CPU
+/// advertises. Kept because `qozbench` and `repro bench` record it in
+/// their headers, so numbers from different machines can be told apart.
+pub fn cpu_features() -> String {
+    let mut feats: Vec<&str> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            feats.push("avx2");
         }
-        quantize_scalar(
-            spec,
-            &vals_f[k..],
-            &preds[k..],
-            &mut codes[k..],
-            &mut recons_f[k..],
-        );
+        feats.push("sse2");
     }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn quantize_sse2(
-        spec: &QuantSpec,
-        vals_f: &[f64],
-        preds: &[f64],
-        codes: &mut [u32],
-        recons_f: &mut [f64],
-    ) {
-        let n = vals_f.len();
-        let two_e = _mm_set1_pd(spec.two_e);
-        let limit = _mm_set1_pd(spec.limit);
-        let radius = _mm_set1_pd(spec.radius_f);
-        let half = _mm_set1_pd(0.5);
-        let neg_half = _mm_set1_pd(-0.5);
-        let one = _mm_set1_pd(1.0);
-        let abs_mask = _mm_castsi128_pd(_mm_set1_epi64x(i64::MAX));
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let v = _mm_loadu_pd(vals_f.as_ptr().add(k));
-            let p = _mm_loadu_pd(preds.as_ptr().add(k));
-            let scaled = _mm_div_pd(_mm_sub_pd(v, p), two_e);
-            let in_range = _mm_cmplt_pd(_mm_and_pd(scaled, abs_mask), limit);
-            // SSE2 has no ROUNDPD; truncate through i32 instead. In-range
-            // lanes satisfy |scaled| < 2^30 so the trip is exact;
-            // out-of-range lanes produce garbage the mask discards.
-            let t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(scaled));
-            let frac = _mm_sub_pd(scaled, t);
-            let bump_pos = _mm_and_pd(_mm_cmpge_pd(frac, half), one);
-            let bump_neg = _mm_and_pd(_mm_cmple_pd(frac, neg_half), one);
-            let r = _mm_sub_pd(_mm_add_pd(t, bump_pos), bump_neg);
-            let code = _mm_cvtpd_epi32(_mm_add_pd(r, radius));
-            // Low 32 bits of each 64-bit mask lane → i32 mask lanes 0,1.
-            let m32 = _mm_shuffle_epi32::<0b11_11_10_00>(_mm_castpd_si128(in_range));
-            let masked = _mm_and_si128(code, m32);
-            _mm_storel_epi64(codes.as_mut_ptr().add(k) as *mut __m128i, masked);
-            let rec = _mm_add_pd(p, _mm_mul_pd(two_e, r));
-            _mm_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        quantize_scalar(
-            spec,
-            &vals_f[k..],
-            &preds[k..],
-            &mut codes[k..],
-            &mut recons_f[k..],
-        );
+    #[cfg(target_arch = "aarch64")]
+    feats.push("neon");
+    if feats.is_empty() {
+        feats.push("none");
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn reconstruct_avx2(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = _mm256_set1_pd(spec.two_e);
-        let radius = _mm256_set1_pd(spec.radius_f);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            // Regular codes are < 2^31, so the u32s convert exactly as
-            // non-negative i32s.
-            let c = _mm_loadu_si128(codes.as_ptr().add(k) as *const __m128i);
-            let r = _mm256_sub_pd(_mm256_cvtepi32_pd(c), radius);
-            let p = _mm256_loadu_pd(preds.as_ptr().add(k));
-            let rec = _mm256_add_pd(p, _mm256_mul_pd(two_e, r));
-            _mm256_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 4;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn reconstruct_sse2(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = _mm_set1_pd(spec.two_e);
-        let radius = _mm_set1_pd(spec.radius_f);
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let c = _mm_loadl_epi64(codes.as_ptr().add(k) as *const __m128i);
-            let r = _mm_sub_pd(_mm_cvtepi32_pd(c), radius);
-            let p = _mm_loadu_pd(preds.as_ptr().add(k));
-            let rec = _mm_add_pd(p, _mm_mul_pd(two_e, r));
-            _mm_storeu_pd(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
-}
-
-// See the `x86` module note on `unsafe`; NEON is baseline on aarch64.
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod neon {
-    use super::{quantize_scalar, reconstruct_scalar, QuantSpec};
-    use core::arch::aarch64::*;
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn quantize_neon(
-        spec: &QuantSpec,
-        vals_f: &[f64],
-        preds: &[f64],
-        codes: &mut [u32],
-        recons_f: &mut [f64],
-    ) {
-        let n = vals_f.len();
-        let two_e = vdupq_n_f64(spec.two_e);
-        let limit = vdupq_n_f64(spec.limit);
-        let radius = vdupq_n_f64(spec.radius_f);
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let v = vld1q_f64(vals_f.as_ptr().add(k));
-            let p = vld1q_f64(preds.as_ptr().add(k));
-            let scaled = vdivq_f64(vsubq_f64(v, p), two_e);
-            let in_range = vcltq_f64(vabsq_f64(scaled), limit);
-            // FRINTA rounds ties away from zero — exactly f64::round().
-            let r = vrndaq_f64(scaled);
-            let code64 = vcvtq_s64_f64(vaddq_f64(r, radius));
-            let code32 = vreinterpret_u32_s32(vmovn_s64(code64));
-            let masked = vand_u32(code32, vmovn_u64(in_range));
-            vst1_u32(codes.as_mut_ptr().add(k), masked);
-            let rec = vaddq_f64(p, vmulq_f64(two_e, r));
-            vst1q_f64(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        quantize_scalar(
-            spec,
-            &vals_f[k..],
-            &preds[k..],
-            &mut codes[k..],
-            &mut recons_f[k..],
-        );
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn reconstruct_neon(
-        spec: &QuantSpec,
-        codes: &[u32],
-        preds: &[f64],
-        recons_f: &mut [f64],
-    ) {
-        let n = codes.len();
-        let two_e = vdupq_n_f64(spec.two_e);
-        let radius = vdupq_n_f64(spec.radius_f);
-        let mut k = 0usize;
-        while k + 2 <= n {
-            let c = vld1_u32(codes.as_ptr().add(k));
-            let cf = vcvtq_f64_u64(vmovl_u32(c));
-            let r = vsubq_f64(cf, radius);
-            let p = vld1q_f64(preds.as_ptr().add(k));
-            let rec = vaddq_f64(p, vmulq_f64(two_e, r));
-            vst1q_f64(recons_f.as_mut_ptr().add(k), rec);
-            k += 2;
-        }
-        reconstruct_scalar(spec, &codes[k..], &preds[k..], &mut recons_f[k..]);
-    }
+    feats.join(",")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantizer::LinearQuantizer;
 
-    fn check_block_f64(path: KernelPath, q: &LinearQuantizer, vals: &[f64], preds: &[f64]) {
-        let spec = QuantSpec::from_quantizer(q).unwrap();
-        let n = vals.len();
-        let mut vals_f = vec![0f64; n];
-        let mut codes = vec![0u32; n];
-        let mut recons = vec![0f64; n];
-        quantize_block(
-            path,
-            &spec,
-            vals,
-            preds,
-            &mut vals_f,
-            &mut codes,
-            &mut recons,
-        );
-        for k in 0..n {
-            let want = q.quantize(vals[k], preds[k]);
-            assert_eq!(codes[k], want.code, "{path} lane {k}: code mismatch");
-            assert_eq!(
-                recons[k].to_bits(),
-                want.reconstructed.to_bits(),
-                "{path} lane {k}: recon mismatch"
-            );
-        }
-        if codes_regular(&spec, &codes) {
-            let mut out = vec![0f64; n];
-            reconstruct_block(path, &spec, &codes, preds, &mut out);
-            for k in 0..n {
-                let want: f64 = q.reconstruct(codes[k], preds[k]);
-                assert_eq!(out[k].to_bits(), want.to_bits(), "{path} lane {k}");
-            }
-        }
+    #[test]
+    fn names_are_stable() {
+        assert_eq!(selected(), KernelPath::Scalar);
+        assert_eq!(KernelPath::Scalar.name(), "scalar");
     }
 
     #[test]
-    fn block_matches_scalar_quantizer_all_paths() {
-        let q = LinearQuantizer::new(1e-3);
-        // Lengths straddle the lane widths to exercise odd tails.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 64] {
-            let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-            let preds: Vec<f64> = (0..n)
-                .map(|i| (i as f64 * 0.37).sin() * 3.0 + 1e-4)
-                .collect();
-            for path in supported_paths() {
-                check_block_f64(path, &q, &vals, &preds);
-            }
-        }
-    }
-
-    #[test]
-    fn block_handles_specials_like_scalar() {
-        let q = LinearQuantizer::with_radius(1e-6, 128);
-        let vals = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            1.0,
-            1e300,
-            -1e300,
-            5e-7,
-            -5e-7,
-            0.5f64.next_down() * 2e-6,
-            1e-6,
-        ];
-        let preds = [
-            0.0,
-            0.0,
-            0.0,
-            f64::NAN,
-            f64::INFINITY,
-            1.0,
-            -1e300,
-            1e300,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-        ];
-        for path in supported_paths() {
-            check_block_f64(path, &q, &vals, &preds);
-        }
-    }
-
-    #[test]
-    fn half_tie_rounds_away_from_zero_on_all_paths() {
-        // scaled lands exactly on ±0.5 and on the nextafter(0.5) edge.
-        let q = LinearQuantizer::new(0.5); // two_e = 1.0, scaled = v - p
-        let vals = [
-            0.5,
-            -0.5,
-            1.5,
-            -1.5,
-            2.5,
-            0.49999999999999994,
-            -0.49999999999999994,
-            3.5,
-        ];
-        let preds = [0.0; 8];
-        for path in supported_paths() {
-            check_block_f64(path, &q, &vals, &preds);
-        }
-    }
-
-    #[test]
-    fn f32_narrowing_check_matches_scalar() {
-        let q = LinearQuantizer::new(1e-4);
-        let spec = QuantSpec::from_quantizer(&q).unwrap();
-        // Large magnitudes where the f32 ULP exceeds the residual grid:
-        // the narrowing bound check must reject exactly the same lanes.
-        let vals: Vec<f32> = (0..32).map(|i| 1.0e7f32 + i as f32).collect();
-        let preds: Vec<f64> = vals.iter().map(|&v| v as f64 + 3.3e-5).collect();
-        let n = vals.len();
-        for path in supported_paths() {
-            let mut vals_f = vec![0f64; n];
-            let mut codes = vec![0u32; n];
-            let mut recons = vec![0f32; n];
-            quantize_block(
-                path,
-                &spec,
-                &vals,
-                &preds,
-                &mut vals_f,
-                &mut codes,
-                &mut recons,
-            );
-            for k in 0..n {
-                let want = q.quantize(vals[k], preds[k]);
-                assert_eq!(codes[k], want.code, "{path} lane {k}");
-                assert_eq!(
-                    recons[k].to_bits(),
-                    want.reconstructed.to_bits(),
-                    "{path} lane {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_radius_rejected() {
-        let q = LinearQuantizer::with_radius(1e-3, (1 << 30) + 1);
-        assert!(QuantSpec::from_quantizer(&q).is_none());
-        assert!(QuantSpec::from_quantizer(&LinearQuantizer::new(1e-3)).is_some());
-    }
-
-    #[test]
-    fn codes_regular_flags_zero_and_out_of_range() {
-        let q = LinearQuantizer::with_radius(1.0, 16);
-        let spec = QuantSpec::from_quantizer(&q).unwrap();
-        assert!(codes_regular(&spec, &[1, 16, 31]));
-        assert!(!codes_regular(&spec, &[1, 0, 31]));
-        assert!(!codes_regular(&spec, &[1, 32]));
+    fn cpu_features_nonempty() {
+        assert!(!cpu_features().is_empty());
     }
 }

@@ -172,12 +172,7 @@ impl Qoz {
         plan: &QozPlan,
         scratch: &mut Scratch<T>,
     ) -> Vec<u8> {
-        qoz_sz3::engine::compress_with_spec_path(
-            data,
-            &plan.spec,
-            scratch,
-            self.config.kernels.resolve(),
-        );
+        qoz_sz3::compress_with_spec_into(data, &plan.spec, scratch);
         qoz_sz3::engine::write_stream(
             &Header {
                 compressor: CompressorId::Qoz,
@@ -216,13 +211,7 @@ impl Qoz {
             "not a QoZ stream",
         )?;
         let mut out = NdArray::<T>::zeros(header.shape);
-        qoz_sz3::engine::read_stream_into_path(
-            &mut r,
-            &header,
-            scratch,
-            &mut out,
-            self.config.kernels.resolve(),
-        )?;
+        qoz_sz3::engine::read_stream_into(&mut r, &header, scratch, &mut out)?;
         Ok(out)
     }
 
@@ -240,13 +229,7 @@ impl Qoz {
             CompressorId::Qoz,
             "not a QoZ stream",
         )?;
-        qoz_sz3::engine::read_stream_into_path(
-            &mut r,
-            &header,
-            scratch,
-            out,
-            self.config.kernels.resolve(),
-        )
+        qoz_sz3::engine::read_stream_into(&mut r, &header, scratch, out)
     }
 }
 

@@ -278,7 +278,8 @@ impl Qoz {
 pub const PLAN_FILE_MAGIC: [u8; 4] = *b"QZPL";
 /// Current plan-snapshot serialization version.
 pub const PLAN_FILE_VERSION: u8 = 1;
-/// Sanity cap on levels in a decoded plan (real plans have < 10).
+/// Cap on a decoded plan's table lengths, checked before allocating
+/// (real plans have < 10 levels; `InterpSpec::validate` checks the rest).
 const MAX_PLAN_LEVELS: u64 = 64;
 
 fn encode_bound(w: &mut ByteWriter, bound: ErrorBound) {
@@ -381,26 +382,22 @@ impl PlanSnapshot {
         }
         let alpha = r.get_f64()?;
         let beta = r.get_f64()?;
-        if !(alpha.is_finite() && alpha > 0.0 && beta.is_finite() && beta > 0.0) {
+        // Eq. 5 needs alpha, beta >= 1 (`level_error_bounds` asserts it).
+        if !(alpha.is_finite() && alpha >= 1.0 && beta.is_finite() && beta >= 1.0) {
             return Err(CodecError::Corrupt("bad (alpha, beta) in plan snapshot"));
         }
         let anchor_stride = match r.get_u8()? {
             0 => None,
-            1 => {
-                let s = r.get_varint()?;
-                if !(1..=u32::MAX as u64).contains(&s) {
-                    return Err(CodecError::Corrupt("bad anchor stride in plan snapshot"));
-                }
-                Some(s as u32)
-            }
+            1 => Some(
+                u32::try_from(r.get_varint()?)
+                    .map_err(|_| CodecError::Corrupt("bad anchor stride in plan snapshot"))?,
+            ),
             _ => return Err(CodecError::Corrupt("bad anchor flag in plan snapshot")),
         };
-        let max_level = r.get_varint()?;
-        if max_level == 0 || max_level > MAX_PLAN_LEVELS {
-            return Err(CodecError::Corrupt("bad level count in plan snapshot"));
-        }
+        let max_level = u32::try_from(r.get_varint()?)
+            .map_err(|_| CodecError::Corrupt("bad level count in plan snapshot"))?;
         let n_configs = r.get_varint()?;
-        if n_configs == 0 || n_configs > MAX_PLAN_LEVELS {
+        if n_configs > MAX_PLAN_LEVELS {
             return Err(CodecError::Corrupt("bad config count in plan snapshot"));
         }
         let mut level_configs = Vec::with_capacity(n_configs as usize);
@@ -419,39 +416,42 @@ impl PlanSnapshot {
             level_configs.push(LevelConfig { kind, order });
         }
         let n_ebs = r.get_varint()?;
-        if n_ebs == 0 || n_ebs > MAX_PLAN_LEVELS {
+        if n_ebs > MAX_PLAN_LEVELS {
             return Err(CodecError::Corrupt("bad bound count in plan snapshot"));
         }
         let mut level_ebs = Vec::with_capacity(n_ebs as usize);
         for _ in 0..n_ebs {
-            let eb = r.get_f64()?;
-            if !(eb.is_finite() && eb > 0.0) {
-                return Err(CodecError::Corrupt("bad level bound in plan snapshot"));
-            }
-            level_ebs.push(eb);
+            level_ebs.push(r.get_f64()?);
         }
-        let quant_radius = r.get_varint()?;
-        if quant_radius == 0 || quant_radius > u32::MAX as u64 {
-            return Err(CodecError::Corrupt("bad quantizer radius in plan snapshot"));
-        }
+        let quant_radius = u32::try_from(r.get_varint()?)
+            .map_err(|_| CodecError::Corrupt("bad quantizer radius in plan snapshot"))?;
         if r.remaining() != 0 {
             return Err(CodecError::Corrupt("trailing bytes in plan snapshot"));
         }
+        let shape = Shape::new(&dims);
+        let spec = InterpSpec {
+            anchor_stride,
+            max_level,
+            level_configs,
+            level_ebs,
+            quant_radius,
+        };
+        spec.validate(shape)?;
+        // A replayed plan's level bounds are trusted as-is, so they must be
+        // exactly the ones `Qoz::plan` derives from (abs_eb, alpha, beta).
+        // `validate` ruled out NaN and zero, so `!=` compares bits.
+        if spec.level_ebs != level_error_bounds(abs_eb, alpha, beta, max_level) {
+            return Err(CodecError::Corrupt("level bounds disagree with plan"));
+        }
         Ok(PlanSnapshot {
-            shape: Shape::new(&dims),
+            shape,
             scalar_tag,
             bound,
             plan: QozPlan {
                 abs_eb,
                 alpha,
                 beta,
-                spec: InterpSpec {
-                    anchor_stride,
-                    max_level: max_level as u32,
-                    level_configs,
-                    level_ebs,
-                    quant_radius: quant_radius as u32,
-                },
+                spec,
             },
             ref_pred_err,
         })
@@ -678,10 +678,40 @@ mod tests {
     fn corrupt_snapshots_are_rejected_not_panicked() {
         let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
         let qoz = Qoz::default();
+        let bound = ErrorBound::Abs(1e-3);
         let mut cache = PlanCache::default();
-        qoz.plan_cached(&data, ErrorBound::Abs(1e-3), &mut cache);
+        qoz.plan_cached(&data, bound, &mut cache);
         let snap = cache.snapshot().unwrap();
         let good = snap.encode();
+
+        // One-field edits that parse but would panic a worker on replay,
+        // compress to streams the decoder rejects, or break the bound.
+        type Edit = fn(&mut PlanSnapshot);
+        let edits: [(&str, Edit); 7] = [
+            ("quant_radius = 1", |s| s.plan.spec.quant_radius = 1),
+            ("configs shorter than max_level", |s| {
+                s.plan.spec.level_configs.pop();
+            }),
+            ("alpha = 0.5", |s| s.plan.alpha = 0.5),
+            ("quant_radius = 2^25", |s| {
+                s.plan.spec.quant_radius = 1 << 25
+            }),
+            ("anchor_stride = 3", |s| s.plan.spec.anchor_stride = Some(3)),
+            ("level_ebs x100", |s| {
+                for eb in &mut s.plan.spec.level_ebs {
+                    *eb *= 100.0;
+                }
+            }),
+            ("max_level - 1", |s| s.plan.spec.max_level -= 1),
+        ];
+        for (what, edit) in edits {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            match PlanSnapshot::decode(&bad.encode()) {
+                Err(CodecError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
 
         // Truncation at every prefix length must error, never panic.
         for n in 0..good.len() {
@@ -691,13 +721,35 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(PlanSnapshot::decode(&long).is_err());
-        // Single-byte corruption either still parses (payload bytes of a
-        // float) or errors — decode must stay total either way.
+        // Single-byte corruption either errors or still parses (payload
+        // bytes of a float); a plan that parses must replay within the
+        // bound: seeded, replayed, compressed and decoded.
+        let abs = bound.absolute(&data);
+        let mut replayed = 0;
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0xff;
-            let _ = PlanSnapshot::decode(&bad);
+            let Ok(flipped) = PlanSnapshot::decode(&bad) else {
+                continue;
+            };
+            let mut seeded = PlanCache::default();
+            seeded.seed(flipped);
+            let (plan, _) = qoz.plan_cached(&data, bound, &mut seeded);
+            let blob = qoz.compress_with_plan(&data, &plan);
+            let recon = qoz
+                .decompress_typed::<f32>(&blob)
+                .unwrap_or_else(|e| panic!("byte {i}: replayed stream rejected: {e}"));
+            assert_eq!(
+                qoz_metrics::verify_error_bound(&data, &recon, abs),
+                None,
+                "byte {i}: replayed plan breaks the bound"
+            );
+            replayed += 1;
         }
+        assert!(
+            replayed > 0,
+            "no flipped snapshot decoded; the replay check is vacuous"
+        );
 
         // File-level rejections: bad magic, newer version, bogus count.
         let file = encode_snapshots(&[snap]);

@@ -353,230 +353,6 @@ fn line_strided<T: Scalar>(
     }
 }
 
-/// How every point of an interior [`LineRun`] is predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStencil {
-    /// Full interpolation stencil of the given kind, neighbours at
-    /// `±d1` (and `±d3` for the wide kinds).
-    Interp(InterpKind),
-    /// Degraded right boundary: copy the left neighbour at `-d1`.
-    CopyLeft,
-}
-
-/// An interior segment of one traversal line: `cnt` predicted points at
-/// offsets `off0, off0+step, ...`, all sharing one stencil whose
-/// neighbours sit at the fixed relative offsets `±d1`/`±d3`.
-///
-/// Every neighbour's coordinate along the interpolated dimension is an
-/// even multiple of the level stride — finalized by an earlier level or
-/// pass — so the points of a run never read each other's writes and can
-/// be predicted batch-wise in any order.
-#[derive(Debug, Clone, Copy)]
-pub struct LineRun {
-    /// Offset of the first predicted point.
-    pub off0: usize,
-    /// Element step between consecutive predicted points.
-    pub step: usize,
-    /// Number of predicted points.
-    pub cnt: usize,
-    /// Relative offset of the near neighbours.
-    pub d1: usize,
-    /// Relative offset of the far neighbours.
-    pub d3: usize,
-    /// The stencil shared by every point of the run.
-    pub stencil: RunStencil,
-}
-
-/// Consumer of the run-granular traversal [`traverse_level_runs`].
-///
-/// `point` receives boundary points one at a time with their prediction
-/// already computed (via the degrading [`predict_line`]); `run` receives
-/// interior segments and computes predictions itself (typically with the
-/// vectorized stencils in [`crate::simd`]). Both must write the
-/// reconstruction into `data` before returning, exactly like the
-/// [`traverse_level`] callback.
-pub trait RunSink<T: Scalar> {
-    /// One boundary point with its prediction.
-    fn point(&mut self, data: &mut [T], off: usize, pred: f64);
-    /// One interior run; predictions are the sink's job.
-    fn run(&mut self, data: &mut [T], run: &LineRun);
-}
-
-/// Run-granular mirror of [`traverse_level`]: the identical visit order
-/// and stencil selection, but interior line segments are handed to the
-/// sink as whole [`LineRun`]s instead of per-point callbacks, so block
-/// kernels can process them lane-parallel. With a sink that evaluates
-/// each run point-by-point left to right, the `(offset, prediction)`
-/// sequence is exactly that of [`traverse_level`] (bit-for-bit; the
-/// equivalence is asserted by `tests/simd_kernels.rs`).
-pub fn traverse_level_runs<T: Scalar>(
-    data: &mut [T],
-    shape: Shape,
-    level: u32,
-    cfg: LevelConfig,
-    sink: &mut impl RunSink<T>,
-) {
-    assert!(level >= 1, "levels are numbered from 1");
-    assert_eq!(data.len(), shape.len(), "buffer/shape mismatch");
-    let s = 1usize << (level - 1);
-    let nd = shape.ndim();
-
-    for pass in 0..nd {
-        let cur = match cfg.order {
-            DimOrder::Ascending => pass,
-            DimOrder::Descending => nd - 1 - pass,
-        };
-        let n_cur = shape.dim(cur);
-        if n_cur <= s {
-            continue;
-        }
-        // Same per-pass geometry as `traverse_level` (see there).
-        let mut steps = [1usize; MAX_NDIM];
-        let mut counts = [1usize; MAX_NDIM];
-        let mut base = 0usize;
-        for d in 0..nd {
-            let refined_earlier = match cfg.order {
-                DimOrder::Ascending => d < cur,
-                DimOrder::Descending => d > cur,
-            };
-            let (start, step) = if d == cur {
-                (s, 2 * s)
-            } else if refined_earlier {
-                (0, s)
-            } else {
-                (0, 2 * s)
-            };
-            steps[d] = step;
-            counts[d] = (shape.dim(d) - 1 - start) / step + 1;
-            base += start * shape.stride(d);
-        }
-        pass_lines_runs(
-            data, shape, cur, s, n_cur, &steps, &counts, base, cfg.kind, sink,
-        );
-    }
-}
-
-/// One pass of [`traverse_level_runs`]: the [`pass_lines`] odometer with
-/// run-granular line kernels.
-#[allow(clippy::too_many_arguments)]
-fn pass_lines_runs<T: Scalar>(
-    data: &mut [T],
-    shape: Shape,
-    cur: usize,
-    s: usize,
-    n_cur: usize,
-    steps: &[usize; MAX_NDIM],
-    counts: &[usize; MAX_NDIM],
-    base: usize,
-    kind: InterpKind,
-    sink: &mut impl RunSink<T>,
-) {
-    let nd = shape.ndim();
-    let last = nd - 1;
-    let contiguous = cur == last;
-    let stride_cur = shape.stride(cur);
-    let mut idx = [0usize; MAX_NDIM];
-    let mut line_off = base;
-    loop {
-        if contiguous {
-            line_contiguous_runs(data, line_off, s, n_cur, counts[last], kind, sink);
-        } else {
-            let x = s * (2 * idx[cur] + 1);
-            let stencil = if x + s < n_cur {
-                let has_left2 = x >= 3 * s;
-                match kind {
-                    InterpKind::Cubic if has_left2 && x + 3 * s < n_cur => {
-                        RunStencil::Interp(InterpKind::Cubic)
-                    }
-                    InterpKind::Quadratic if has_left2 => RunStencil::Interp(InterpKind::Quadratic),
-                    _ => RunStencil::Interp(InterpKind::Linear),
-                }
-            } else {
-                RunStencil::CopyLeft
-            };
-            sink.run(
-                data,
-                &LineRun {
-                    off0: line_off,
-                    step: steps[last],
-                    cnt: counts[last],
-                    d1: s * stride_cur,
-                    d3: 3 * s * stride_cur,
-                    stencil,
-                },
-            );
-        }
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            line_off += steps[d] * shape.stride(d);
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
-            line_off -= counts[d] * steps[d] * shape.stride(d);
-        }
-    }
-}
-
-/// Run-granular version of [`line_contiguous`]: boundary head/tail
-/// points (degraded stencils) go through `sink.point`, the full-stencil
-/// interior becomes one [`LineRun`].
-fn line_contiguous_runs<T: Scalar>(
-    data: &mut [T],
-    line_off: usize,
-    s: usize,
-    n: usize,
-    cnt: usize,
-    kind: InterpKind,
-    sink: &mut impl RunSink<T>,
-) {
-    let line_base = line_off - s;
-    let q = (n - 1) / (2 * s);
-    let (lo, hi) = match kind {
-        InterpKind::Linear => (0usize, q),
-        InterpKind::Cubic => (1, q.saturating_sub(1)),
-        InterpKind::Quadratic => (1, q),
-    };
-    let lo = lo.min(cnt);
-    let hi = hi.clamp(lo, cnt);
-    let mut j = 0usize;
-    let mut off = line_off;
-    while j < lo {
-        let x = s * (2 * j + 1);
-        let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
-        sink.point(data, off, pred);
-        off += 2 * s;
-        j += 1;
-    }
-    if hi > lo {
-        sink.run(
-            data,
-            &LineRun {
-                off0: off,
-                step: 2 * s,
-                cnt: hi - lo,
-                d1: s,
-                d3: 3 * s,
-                stencil: RunStencil::Interp(kind),
-            },
-        );
-        off += (hi - lo) * 2 * s;
-        j = hi;
-    }
-    while j < cnt {
-        let x = s * (2 * j + 1);
-        let pred = predict_line(kind, x, s, n, |p| data[line_base + p].to_f64());
-        sink.point(data, off, pred);
-        off += 2 * s;
-        j += 1;
-    }
-}
-
 /// Total number of points predicted on `level` (useful for sizing and for
 /// the per-level error-bound bookkeeping in QoZ).
 ///
@@ -802,83 +578,6 @@ mod tests {
                         n,
                         "closed form diverged for {shape:?} level {level} {cfg:?}"
                     );
-                }
-            }
-        }
-    }
-
-    /// Run-granular traversal with a block sink must reproduce the exact
-    /// `(offset, prediction)` sequence of the per-point traversal — the
-    /// contract the fused engine paths stand on.
-    #[test]
-    fn run_traversal_matches_per_point_on_all_paths() {
-        use crate::simd::{fill_preds, supported_paths, KernelPath, BLOCK};
-
-        struct RecSink {
-            path: KernelPath,
-            seq: Vec<(usize, u64)>,
-        }
-        impl RunSink<f64> for RecSink {
-            fn point(&mut self, data: &mut [f64], off: usize, pred: f64) {
-                self.seq.push((off, pred.to_bits()));
-                data[off] = pred * 0.5 + 1.0;
-            }
-            fn run(&mut self, data: &mut [f64], run: &LineRun) {
-                let mut preds = [0f64; BLOCK];
-                let mut done = 0usize;
-                while done < run.cnt {
-                    let m = (run.cnt - done).min(BLOCK);
-                    let chunk = LineRun {
-                        off0: run.off0 + done * run.step,
-                        ..*run
-                    };
-                    fill_preds(self.path, data, &chunk, &mut preds[..m]);
-                    let mut off = chunk.off0;
-                    for &p in &preds[..m] {
-                        self.seq.push((off, p.to_bits()));
-                        data[off] = p * 0.5 + 1.0;
-                        off += run.step;
-                    }
-                    done += m;
-                }
-            }
-        }
-
-        let shapes = [
-            Shape::d1(2),
-            Shape::d1(100),
-            Shape::d2(9, 9),
-            Shape::d2(33, 17),
-            Shape::d2(1, 50),
-            Shape::d3(7, 10, 5),
-            Shape::new(&[3, 5, 4, 6]),
-        ];
-        for shape in shapes {
-            for cfg in LevelConfig::candidates() {
-                for level in 1..=max_level(shape).max(1) {
-                    let init = |i: usize| ((i as f64) * 0.7).sin() * 100.0 + (i % 13) as f64 * 0.01;
-                    let mut want_data: Vec<f64> = (0..shape.len()).map(init).collect();
-                    let mut want = Vec::new();
-                    traverse_level(&mut want_data, shape, level, cfg, &mut |d, off, pred| {
-                        want.push((off, pred.to_bits()));
-                        d[off] = pred * 0.5 + 1.0;
-                    });
-                    for path in supported_paths() {
-                        let mut data: Vec<f64> = (0..shape.len()).map(init).collect();
-                        let mut sink = RecSink {
-                            path,
-                            seq: Vec::new(),
-                        };
-                        traverse_level_runs(&mut data, shape, level, cfg, &mut sink);
-                        assert_eq!(
-                            sink.seq, want,
-                            "sequence diverged: {shape:?} level {level} {cfg:?} {path}"
-                        );
-                        assert_eq!(
-                            data, want_data,
-                            "buffer diverged: {shape:?} level {level} {cfg:?} {path}"
-                        );
-                    }
                 }
             }
         }

@@ -17,42 +17,11 @@
 //! online tuner needs — so trial compressions cost a single pass.
 
 use crate::spec::InterpSpec;
-use qoz_codec::simd::{
-    codes_regular, quantize_block, reconstruct_block, KernelPath, QuantSpec, BLOCK,
-};
+use qoz_codec::simd::KernelPath;
 use qoz_codec::stream::{self, Header};
 use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, Scratch};
-use qoz_predict::simd::fill_preds;
-use qoz_predict::{
-    base_stride, for_each_base_point, traverse_level, traverse_level_runs, LineRun, RunSink,
-};
+use qoz_predict::{base_stride, for_each_base_point, traverse_level};
 use qoz_tensor::{NdArray, Scalar, Shape};
-
-// The engine stages quantizer and stencil blocks in the same stack
-// buffers, so the two kernel layers must agree on the block size.
-const _: () = assert!(BLOCK == qoz_predict::simd::BLOCK);
-
-/// Publish the kernel path the engine dispatches to as the
-/// `qoz_kernel_path` gauge (1 on the active path, 0 on the others), so
-/// a daemon silently running the scalar fallback is visible in
-/// `qoz remote stats`. Only re-published when the path changes.
-fn note_kernel_path(path: KernelPath) {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static LAST: AtomicU8 = AtomicU8::new(u8::MAX);
-    if LAST.swap(path as u8, Ordering::Relaxed) == path as u8 {
-        return;
-    }
-    for p in [
-        KernelPath::Avx2,
-        KernelPath::Sse2,
-        KernelPath::Neon,
-        KernelPath::Scalar,
-    ] {
-        qoz_telemetry::global()
-            .gauge("qoz_kernel_path", &[("path", p.name())])
-            .set(u64::from(p == path));
-    }
-}
 
 /// Everything produced by one compression pass.
 #[derive(Debug, Clone)]
@@ -141,21 +110,7 @@ pub fn compress_with_spec_into<T: Scalar>(
     spec: &InterpSpec,
     scratch: &mut Scratch<T>,
 ) -> EngineStats {
-    compress_with_spec_path(data, spec, scratch, qoz_codec::simd::selected())
-}
-
-/// [`compress_with_spec_into`] with an explicit kernel path instead of
-/// the process-wide selection — the hook for `QozConfig`-level kernel
-/// pinning and for the scalar-vs-vector equivalence tests. Output is
-/// bit-identical across paths.
-pub fn compress_with_spec_path<T: Scalar>(
-    data: &NdArray<T>,
-    spec: &InterpSpec,
-    scratch: &mut Scratch<T>,
-    path: KernelPath,
-) -> EngineStats {
     let _span = qoz_telemetry::stages().predict_quantize.start();
-    note_kernel_path(path);
     let shape = data.shape();
     scratch.clear();
     scratch.load_work(data.as_slice());
@@ -194,46 +149,26 @@ pub fn compress_with_spec_path<T: Scalar>(
     for level in (1..=spec.max_level).rev() {
         let q = LinearQuantizer::with_radius(spec.eb_of(level), spec.quant_radius);
         let cfg = spec.config_of(level);
-        // Vector paths go through the run-granular traversal; the scalar
-        // path (and radii beyond the vector kernels' range) keeps the
-        // original per-point loop verbatim as reference and fallback.
-        let fused = if path == KernelPath::Scalar {
-            None
-        } else {
-            QuantSpec::from_quantizer(&q)
-        };
-        if let Some(qs) = fused {
-            let mut sink = CompressSink {
-                q: &q,
-                qs,
-                path,
-                bins,
-                unpred: &mut unpred,
-                stats: &mut stats,
-            };
-            traverse_level_runs(&mut scratch.work[..], shape, level, cfg, &mut sink);
-        } else {
-            traverse_level(
-                &mut scratch.work[..],
-                shape,
-                level,
-                cfg,
-                &mut |buf, off, pred| {
-                    let v = buf[off];
-                    let err = v.to_f64() - pred;
-                    if err.is_finite() {
-                        stats.sum_abs_pred_err += err.abs();
-                    }
-                    stats.pred_count += 1;
-                    let qz = q.quantize(v, pred);
-                    if qz.code == 0 {
-                        unpred.put_bytes(&v.to_le_bytes_vec());
-                    }
-                    bins.push(qz.code);
-                    buf[off] = qz.reconstructed;
-                },
-            );
-        }
+        traverse_level(
+            &mut scratch.work[..],
+            shape,
+            level,
+            cfg,
+            &mut |buf, off, pred| {
+                let v = buf[off];
+                let err = v.to_f64() - pred;
+                if err.is_finite() {
+                    stats.sum_abs_pred_err += err.abs();
+                }
+                stats.pred_count += 1;
+                let qz = q.quantize(v, pred);
+                if qz.code == 0 {
+                    unpred.put_bytes(&v.to_le_bytes_vec());
+                }
+                bins.push(qz.code);
+                buf[off] = qz.reconstructed;
+            },
+        );
     }
 
     scratch.unpred = unpred.into_vec();
@@ -241,89 +176,15 @@ pub fn compress_with_spec_path<T: Scalar>(
     stats
 }
 
-/// Compress-side block sink for the vector paths: per chunk, fill the
-/// stencil predictions, quantize lane-parallel, then run the ordered
-/// scalar epilogue (tuner statistics, unpredictable side stream, store
-/// of reconstructions). Per-point results — and the order of every
-/// stream — are exactly those of the scalar closure above.
-struct CompressSink<'a> {
-    q: &'a LinearQuantizer,
-    qs: QuantSpec,
-    path: KernelPath,
-    bins: &'a mut Vec<u32>,
-    unpred: &'a mut ByteWriter,
-    stats: &'a mut EngineStats,
-}
-
-impl<T: Scalar> RunSink<T> for CompressSink<'_> {
-    fn point(&mut self, data: &mut [T], off: usize, pred: f64) {
-        let v = data[off];
-        let err = v.to_f64() - pred;
-        if err.is_finite() {
-            self.stats.sum_abs_pred_err += err.abs();
-        }
-        self.stats.pred_count += 1;
-        let qz = self.q.quantize(v, pred);
-        if qz.code == 0 {
-            self.unpred.put_bytes(&v.to_le_bytes_vec());
-        }
-        self.bins.push(qz.code);
-        data[off] = qz.reconstructed;
-    }
-
-    fn run(&mut self, data: &mut [T], run: &LineRun) {
-        let mut preds = [0f64; BLOCK];
-        let mut vals = [T::zero(); BLOCK];
-        let mut vals_f = [0f64; BLOCK];
-        let mut codes = [0u32; BLOCK];
-        let mut recons = [T::zero(); BLOCK];
-        let mut done = 0usize;
-        while done < run.cnt {
-            let m = (run.cnt - done).min(BLOCK);
-            let chunk = LineRun {
-                off0: run.off0 + done * run.step,
-                ..*run
-            };
-            fill_preds(self.path, data, &chunk, &mut preds[..m]);
-            if run.step == 1 {
-                vals[..m].copy_from_slice(&data[chunk.off0..chunk.off0 + m]);
-            } else {
-                let mut off = chunk.off0;
-                for v in vals[..m].iter_mut() {
-                    *v = data[off];
-                    off += run.step;
-                }
-            }
-            quantize_block(
-                self.path,
-                &self.qs,
-                &vals[..m],
-                &preds[..m],
-                &mut vals_f[..m],
-                &mut codes[..m],
-                &mut recons[..m],
-            );
-            // Ordered epilogue: the prediction-error sum must accumulate
-            // in traversal order (FP addition is not associative and the
-            // sum steers the QoZ tuner), and unpredictable values must
-            // hit the side stream in bin order.
-            let mut off = chunk.off0;
-            for k in 0..m {
-                let err = vals_f[k] - preds[k];
-                if err.is_finite() {
-                    self.stats.sum_abs_pred_err += err.abs();
-                }
-                if codes[k] == 0 {
-                    self.unpred.put_bytes(&vals[k].to_le_bytes_vec());
-                }
-                data[off] = recons[k];
-                off += run.step;
-            }
-            self.stats.pred_count += m as u64;
-            self.bins.extend_from_slice(&codes[..m]);
-            done += m;
-        }
-    }
+/// [`compress_with_spec_into`]; `_path` is ignored. Kept because
+/// `qozbench`'s traced split path calls it.
+pub fn compress_with_spec_path<T: Scalar>(
+    data: &NdArray<T>,
+    spec: &InterpSpec,
+    scratch: &mut Scratch<T>,
+    _path: KernelPath,
+) -> EngineStats {
+    compress_with_spec_into(data, spec, scratch)
 }
 
 /// Assemble a full self-describing stream from engine output staged in
@@ -400,19 +261,6 @@ pub fn read_stream_into<T: Scalar>(
     scratch: &mut Scratch<T>,
     out: &mut NdArray<T>,
 ) -> Result<()> {
-    read_stream_into_path(r, header, scratch, out, qoz_codec::simd::selected())
-}
-
-/// [`read_stream_into`] with an explicit kernel path (see
-/// [`compress_with_spec_path`]); decoded values are identical on every
-/// path.
-pub fn read_stream_into_path<T: Scalar>(
-    r: &mut ByteReader,
-    header: &Header,
-    scratch: &mut Scratch<T>,
-    out: &mut NdArray<T>,
-    path: KernelPath,
-) -> Result<()> {
     let spec = InterpSpec::read(r, header.shape)?;
     qoz_codec::decode_bins_with(
         r.get_len_prefixed()?,
@@ -429,14 +277,13 @@ pub fn read_stream_into_path<T: Scalar>(
         &mut scratch.entropy,
         &mut scratch.anchors,
     )?;
-    if decompress_with_spec_path(
+    if decompress_with_spec_into(
         header.shape,
         &spec,
         &scratch.bins,
         &scratch.unpred,
         &scratch.anchors,
         out,
-        path,
     )? {
         scratch.grows.bump();
     }
@@ -470,31 +317,6 @@ pub fn decompress_with_spec_into<T: Scalar>(
     anchors: &[u8],
     out: &mut NdArray<T>,
 ) -> Result<bool> {
-    decompress_with_spec_path(
-        shape,
-        spec,
-        bins,
-        unpred,
-        anchors,
-        out,
-        qoz_codec::simd::selected(),
-    )
-}
-
-/// [`decompress_with_spec_into`] with an explicit kernel path (see
-/// [`compress_with_spec_path`]). Reconstructions are bit-identical
-/// across paths.
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_with_spec_path<T: Scalar>(
-    shape: Shape,
-    spec: &InterpSpec,
-    bins: &[u32],
-    unpred: &[u8],
-    anchors: &[u8],
-    out: &mut NdArray<T>,
-    path: KernelPath,
-) -> Result<bool> {
-    note_kernel_path(path);
     let grew = out.reset_zeros(shape);
     let work = out;
     let mut bin_pos = 0usize;
@@ -551,55 +373,35 @@ pub fn decompress_with_spec_path<T: Scalar>(
     for level in (1..=spec.max_level).rev() {
         let q = LinearQuantizer::with_radius(spec.eb_of(level), spec.quant_radius);
         let cfg = spec.config_of(level);
-        // Same dispatch rule as the compress side; either path consumes
-        // the identical code sequence and produces identical bits.
-        let fused = if path == KernelPath::Scalar {
-            None
-        } else {
-            QuantSpec::from_quantizer(&q)
-        };
-        if let Some(qs) = fused {
-            let mut sink = DecompressSink {
-                q: &q,
-                qs,
-                path,
-                bins,
-                bin_pos: &mut bin_pos,
-                unpred_r: &mut unpred_r,
-                failed: &mut failed,
-            };
-            traverse_level_runs(work.as_mut_slice(), shape, level, cfg, &mut sink);
-        } else {
-            traverse_level(
-                work.as_mut_slice(),
-                shape,
-                level,
-                cfg,
-                &mut |buf, off, pred| {
-                    if failed.is_some() {
+        traverse_level(
+            work.as_mut_slice(),
+            shape,
+            level,
+            cfg,
+            &mut |buf, off, pred| {
+                if failed.is_some() {
+                    return;
+                }
+                let code = match bins.get(bin_pos) {
+                    Some(&c) => c,
+                    None => {
+                        failed = Some(CodecError::UnexpectedEof);
                         return;
                     }
-                    let code = match bins.get(bin_pos) {
-                        Some(&c) => c,
-                        None => {
-                            failed = Some(CodecError::UnexpectedEof);
-                            return;
-                        }
-                    };
-                    bin_pos += 1;
-                    if code == 0 {
-                        match unpred_r.get_bytes(T::BYTES) {
-                            Ok(b) => buf[off] = T::from_le_slice(b),
-                            Err(e) => failed = Some(e),
-                        }
-                    } else if code >= q.num_codes() {
-                        failed = Some(CodecError::Corrupt("bin code out of range"));
-                    } else {
-                        buf[off] = q.reconstruct(code, pred);
+                };
+                bin_pos += 1;
+                if code == 0 {
+                    match unpred_r.get_bytes(T::BYTES) {
+                        Ok(b) => buf[off] = T::from_le_slice(b),
+                        Err(e) => failed = Some(e),
                     }
-                },
-            );
-        }
+                } else if code >= q.num_codes() {
+                    failed = Some(CodecError::Corrupt("bin code out of range"));
+                } else {
+                    buf[off] = q.reconstruct(code, pred);
+                }
+            },
+        );
         if let Some(e) = failed {
             return Err(e);
         }
@@ -611,92 +413,18 @@ pub fn decompress_with_spec_path<T: Scalar>(
     Ok(grew)
 }
 
-/// Decompress-side block sink for the vector paths. Chunks whose codes
-/// are all regular reconstruct lane-parallel; a chunk containing an
-/// unpredictable (code 0), an out-of-range code, or the tail of a
-/// truncated bin stream falls back to the per-point logic of the scalar
-/// closure, preserving the exact-value side-stream read order and the
-/// error semantics.
-struct DecompressSink<'a, 'u> {
-    q: &'a LinearQuantizer,
-    qs: QuantSpec,
-    path: KernelPath,
-    bins: &'a [u32],
-    bin_pos: &'a mut usize,
-    unpred_r: &'a mut ByteReader<'u>,
-    failed: &'a mut Option<CodecError>,
-}
-
-impl<T: Scalar> RunSink<T> for DecompressSink<'_, '_> {
-    fn point(&mut self, data: &mut [T], off: usize, pred: f64) {
-        if self.failed.is_some() {
-            return;
-        }
-        let code = match self.bins.get(*self.bin_pos) {
-            Some(&c) => c,
-            None => {
-                *self.failed = Some(CodecError::UnexpectedEof);
-                return;
-            }
-        };
-        *self.bin_pos += 1;
-        if code == 0 {
-            match self.unpred_r.get_bytes(T::BYTES) {
-                Ok(b) => data[off] = T::from_le_slice(b),
-                Err(e) => *self.failed = Some(e),
-            }
-        } else if code >= self.q.num_codes() {
-            *self.failed = Some(CodecError::Corrupt("bin code out of range"));
-        } else {
-            data[off] = self.q.reconstruct(code, pred);
-        }
-    }
-
-    fn run(&mut self, data: &mut [T], run: &LineRun) {
-        let mut preds = [0f64; BLOCK];
-        let mut recons = [T::zero(); BLOCK];
-        let mut done = 0usize;
-        while done < run.cnt {
-            if self.failed.is_some() {
-                return;
-            }
-            let m = (run.cnt - done).min(BLOCK);
-            let chunk = LineRun {
-                off0: run.off0 + done * run.step,
-                ..*run
-            };
-            fill_preds(self.path, data, &chunk, &mut preds[..m]);
-            let pos = *self.bin_pos;
-            let regular = self
-                .bins
-                .get(pos..pos + m)
-                .is_some_and(|c| codes_regular(&self.qs, c));
-            if regular {
-                let codes = &self.bins[pos..pos + m];
-                *self.bin_pos = pos + m;
-                reconstruct_block(self.path, &self.qs, codes, &preds[..m], &mut recons[..m]);
-                if run.step == 1 {
-                    data[chunk.off0..chunk.off0 + m].copy_from_slice(&recons[..m]);
-                } else {
-                    let mut off = chunk.off0;
-                    for &r in &recons[..m] {
-                        data[off] = r;
-                        off += run.step;
-                    }
-                }
-            } else {
-                let mut off = chunk.off0;
-                for &pred in &preds[..m] {
-                    self.point(data, off, pred);
-                    if self.failed.is_some() {
-                        return;
-                    }
-                    off += run.step;
-                }
-            }
-            done += m;
-        }
-    }
+/// [`decompress_with_spec_into`]; `_path` is ignored. Kept because
+/// `qozbench`'s traced split path calls it.
+pub fn decompress_with_spec_path<T: Scalar>(
+    shape: Shape,
+    spec: &InterpSpec,
+    bins: &[u32],
+    unpred: &[u8],
+    anchors: &[u8],
+    out: &mut NdArray<T>,
+    _path: KernelPath,
+) -> Result<bool> {
+    decompress_with_spec_into(shape, spec, bins, unpred, anchors, out)
 }
 
 #[cfg(test)]

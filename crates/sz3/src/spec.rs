@@ -10,6 +10,11 @@ use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result};
 use qoz_predict::{max_level, DimOrder, InterpKind, LevelConfig};
 use qoz_tensor::Shape;
 
+/// Most interpolation levels a spec may have (real specs have < 10).
+const MAX_LEVELS: u32 = 40;
+/// Most entries a spec's level tables may have.
+const MAX_LEVEL_TABLE: usize = 64;
+
 /// Full configuration of an interpolation compression pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterpSpec {
@@ -102,30 +107,61 @@ impl InterpSpec {
         w.put_varint(self.quant_radius as u64);
     }
 
-    /// Deserialize and validate against the array shape.
-    pub fn read(r: &mut ByteReader, shape: Shape) -> Result<Self> {
-        let anchored = r.get_u8()?;
-        let anchor_stride = match anchored {
-            0 => None,
-            1 => {
-                let s = r.get_varint()?;
-                if !(2..=(1 << 30)).contains(&s) || !u64::is_power_of_two(s) {
-                    return Err(CodecError::Corrupt("bad anchor stride"));
-                }
-                Some(s as u32)
+    /// Check every rule a spec must meet to code an array of `shape`:
+    /// a spec that passes compresses to a stream [`InterpSpec::read`]
+    /// accepts and decodes, and cannot panic the engine. Both `read` and
+    /// persisted plans (`qoz_core::PlanSnapshot::decode`) go through here.
+    pub fn validate(&self, shape: Shape) -> Result<()> {
+        if let Some(s) = self.anchor_stride {
+            if !(2..=(1 << 30)).contains(&s) || !s.is_power_of_two() {
+                return Err(CodecError::Corrupt("bad anchor stride"));
             }
-            _ => return Err(CodecError::Corrupt("bad anchor flag")),
-        };
-        let max_lv = r.get_varint()? as u32;
-        if max_lv > 40 {
+        }
+        if self.max_level > MAX_LEVELS {
             return Err(CodecError::Corrupt("implausible level count"));
         }
-        let n = r.get_varint()? as usize;
-        if n < max_lv as usize || n > 64 {
+        let n = self.level_configs.len();
+        if n != self.level_ebs.len() || n < self.max_level as usize || n > MAX_LEVEL_TABLE {
             return Err(CodecError::Corrupt("level table size mismatch"));
         }
-        let mut level_configs = Vec::with_capacity(n);
-        let mut level_ebs = Vec::with_capacity(n);
+        if !self.level_ebs.iter().all(|eb| eb.is_finite() && *eb > 0.0) {
+            return Err(CodecError::Corrupt("bad level error bound"));
+        }
+        if !(2..=(1 << 24)).contains(&self.quant_radius) {
+            return Err(CodecError::Corrupt("bad quantizer radius"));
+        }
+        // The levels must reach from the base grid down to stride 1:
+        // unanchored, from the corner grid of the whole array; anchored,
+        // from the anchor grid.
+        let covered = match self.anchor_stride {
+            None => self.max_level >= max_level(shape),
+            Some(a) => 1u64 << self.max_level >= u64::from(a),
+        };
+        if !covered {
+            return Err(CodecError::Corrupt("spec does not cover array"));
+        }
+        Ok(())
+    }
+
+    /// Deserialize and validate against the array shape.
+    pub fn read(r: &mut ByteReader, shape: Shape) -> Result<Self> {
+        let anchor_stride = match r.get_u8()? {
+            0 => None,
+            1 => Some(
+                u32::try_from(r.get_varint()?)
+                    .map_err(|_| CodecError::Corrupt("bad anchor stride"))?,
+            ),
+            _ => return Err(CodecError::Corrupt("bad anchor flag")),
+        };
+        let max_level = u32::try_from(r.get_varint()?)
+            .map_err(|_| CodecError::Corrupt("implausible level count"))?;
+        // Bounds the allocations below; `validate` checks the rest.
+        let n = r.get_varint()?;
+        if n > MAX_LEVEL_TABLE as u64 {
+            return Err(CodecError::Corrupt("level table size mismatch"));
+        }
+        let mut level_configs = Vec::with_capacity(n as usize);
+        let mut level_ebs = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let packed = r.get_u8()?;
             let kind = match packed & 0x3 {
@@ -143,27 +179,18 @@ impl InterpSpec {
                 DimOrder::Descending
             };
             level_configs.push(LevelConfig { kind, order });
-            let eb = r.get_f64()?;
-            if eb.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !eb.is_finite() {
-                return Err(CodecError::Corrupt("bad level error bound"));
-            }
-            level_ebs.push(eb);
+            level_ebs.push(r.get_f64()?);
         }
-        let quant_radius = r.get_varint()? as u32;
-        if !(2..=(1 << 24)).contains(&quant_radius) {
-            return Err(CodecError::Corrupt("bad quantizer radius"));
-        }
-        // Unanchored specs must cover the full shape.
-        if anchor_stride.is_none() && max_lv < max_level(shape) {
-            return Err(CodecError::Corrupt("spec does not cover array"));
-        }
-        Ok(InterpSpec {
+        let spec = InterpSpec {
             anchor_stride,
-            max_level: max_lv,
+            max_level,
             level_configs,
             level_ebs,
-            quant_radius,
-        })
+            quant_radius: u32::try_from(r.get_varint()?)
+                .map_err(|_| CodecError::Corrupt("bad quantizer radius"))?,
+        };
+        spec.validate(shape)?;
+        Ok(spec)
     }
 }
 
