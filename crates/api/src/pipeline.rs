@@ -5,8 +5,9 @@
 //! fast:
 //!
 //! * a [`qoz_core::PlanCache`] — QoZ's tuned plan is replayed across
-//!   same-shape/same-bound calls, guarded by a cheap sampled drift
-//!   check (see `qoz_core::pipeline` for the exact semantics), and
+//!   same-shape calls, guarded by a cheap sampled drift check on the
+//!   data and the resolved bound (see `qoz_core::pipeline` for the
+//!   exact semantics), and
 //! * a [`qoz_codec::Scratch`] arena — every stage buffer (working copy,
 //!   quantization bins, side streams, Huffman/LZSS staging) is recycled
 //!   between calls instead of reallocated.
@@ -24,6 +25,7 @@ use qoz_codec::{CompressStats, Scratch};
 use qoz_core::{PlanCache, PlanOutcome, Qoz};
 use qoz_temporal::{TemporalOutcome, TemporalSession};
 use qoz_tensor::{NdArray, Scalar};
+use std::cell::Cell;
 
 /// Counters describing how a [`Pipeline`] has served its calls.
 ///
@@ -41,8 +43,10 @@ pub struct PipelineStats {
     pub warm_hits: u64,
     /// Cached tuning decisions replayed with rescaled level bounds.
     pub warm_rescales: u64,
-    /// Cache key matched but drift forced a retune (includes key
-    /// changes: new shape, scalar type or bound).
+    /// A cached plan could not be reused and tuning ran again: new
+    /// shape or scalar type, drifted data, or a resolved bound that
+    /// moved beyond the drift tolerance (a bound-spec change alone is
+    /// not a retune).
     pub retunes: u64,
     /// Stage buffers that had to grow during [`Pipeline::compress`]
     /// calls (capacity-profile deltas over the arena).
@@ -264,9 +268,13 @@ impl<T: Scalar> Pipeline<T> {
     /// `qoz_temporal`) means error never accumulates along the chain.
     ///
     /// Inner streams run the same warm path as [`Pipeline::compress`]
-    /// (plan cache + scratch arena). Only [`Target::Bound`] sessions can
-    /// chain: quality targets re-search the bound per snapshot, which
-    /// has no stable composed-error story.
+    /// (plan cache + scratch arena); because a delta's bound is only
+    /// the snapshot's resolved bound, consecutive deltas replay one
+    /// tuned plan. On the QoZ backend the chain state is the engine's
+    /// own reconstruction, so no snapshot is decoded again; other
+    /// backends decode their output once. Only [`Target::Bound`]
+    /// sessions can chain: quality targets re-search the bound per
+    /// snapshot, which has no stable composed-error story.
     pub fn compress_next(&mut self, data: &NdArray<T>) -> Result<(TemporalOutcome, Compressed)> {
         let Target::Bound(bound) = self.session.target() else {
             return Err(ApiError::InvalidTarget(
@@ -284,6 +292,11 @@ impl<T: Scalar> Pipeline<T> {
             session,
         } = self;
         let registry = session.registry();
+        // The QoZ engine predicts from reconstructed values, so after a
+        // pass `scratch.work` already holds what a decoder of the stream
+        // would produce; the encoder hands a copy to the chain state
+        // instead of decoding its own output. Other backends decode.
+        let recon: Cell<Option<NdArray<T>>> = Cell::new(None);
         let (outcome, blob) = temporal.compress_next(
             data,
             bound,
@@ -293,14 +306,19 @@ impl<T: Scalar> Pipeline<T> {
                     let (plan, outcome) = qoz.plan_cached(field, field_bound, cache);
                     stats.record(outcome);
                     *last = Some(outcome);
-                    qoz.compress_with_plan_scratched(field, &plan, &mut *scratch)
+                    let blob = qoz.compress_with_plan_scratched(field, &plan, &mut *scratch);
+                    recon.set(Some(NdArray::from_vec(field.shape(), scratch.work.clone())));
+                    blob
                 }
                 Engine::Other(codec) => {
                     *last = None;
                     codec.compress_with_scratch(field, field_bound, &mut *scratch)
                 }
             },
-            |inner| registry.decompress(inner),
+            |inner| match recon.take() {
+                Some(r) => Ok(r),
+                None => registry.decompress(inner),
+            },
         )?;
         match outcome {
             TemporalOutcome::Keyframe => self.stats.chain_keyframes += 1,

@@ -52,11 +52,6 @@ pub const MAGIC: [u8; 4] = *b"QZAR";
 /// variables are all [`TemporalKind::Independent`] keep emitting
 /// [`VERSION`], byte-identical to pre-temporal builds.
 pub const VERSION_TEMPORAL: u8 = 2;
-/// Sanity cap on a single variable's declared element count (2^36 ~
-/// 275 GB of f32). The TOC is plaintext with a non-cryptographic
-/// checksum, so declared sizes gate allocations: anything larger is
-/// treated as corruption rather than trusted.
-pub const MAX_VAR_ELEMS: u64 = 1 << 36;
 /// Current container format version.
 pub const VERSION: u8 = 1;
 /// Bytes before the TOC: magic + version + flags + toc_len.
@@ -293,17 +288,12 @@ impl Toc {
                 }
                 dims.push(d);
             }
-            // Checked product: dims are each <= 2^32, so four of them can
-            // wrap usize. A TOC is ~30 bytes of trivially re-checksummable
-            // plaintext — declared sizes must be validated, not trusted,
-            // before any consumer allocates for them.
-            let elems = dims
-                .iter()
-                .try_fold(1u128, |acc, &d| acc.checked_mul(d as u128))
-                .filter(|&e| e <= MAX_VAR_ELEMS as u128)
-                .ok_or(ArchiveError::Corrupt("implausible variable size"))?;
-            debug_assert!(elems > 0);
-            let shape = Shape::new(&dims);
+            // Dims are each <= 2^32, so four of them can wrap usize. A TOC
+            // is ~30 bytes of trivially re-checksummable plaintext —
+            // declared sizes must be validated, not trusted, before any
+            // consumer allocates for them.
+            let shape =
+                Shape::try_new(&dims).ok_or(ArchiveError::Corrupt("implausible variable size"))?;
             let abs_eb = r.get_f64()?;
             if !(abs_eb.is_finite() && abs_eb > 0.0) {
                 return Err(ArchiveError::Corrupt("bad error bound"));

@@ -187,7 +187,7 @@ fn bench_throughput(o: &Opts) {
     let stage_breakdown = bench_stage_breakdown(o);
     let json = format!(
         concat!(
-            "{{\n  \"schema\": \"qoz-suite/bench-throughput/v8\",\n",
+            "{{\n  \"schema\": \"qoz-suite/bench-throughput/v9\",\n",
             "  \"size_class\": \"{:?}\",\n",
             "  \"cpu_features\": \"{}\",\n",
             "  \"unit\": \"MB/s of raw f32 data\",\n",
@@ -428,8 +428,16 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
     const CHAIN: usize = 12;
     println!("\n--- time series: independent vs temporal delta coding, eps {eps:.0e} ---");
     println!(
-        "{:<14} {:>6} {:>8} {:>8} {:>6} {:>11} {:>12}",
-        "dataset", "snaps", "ind CR", "temp CR", "gain", "key/dlt/fb", "chain MB/s"
+        "{:<14} {:>6} {:>8} {:>8} {:>6} {:>11} {:>10} {:>10} {:>5}",
+        "dataset",
+        "snaps",
+        "ind CR",
+        "temp CR",
+        "gain",
+        "key/dlt/fb",
+        "enc MB/s",
+        "dec MB/s",
+        "warm"
     );
     type SeriesGen = fn(qoz_tensor::Shape, u64) -> NdArray<f32>;
     let series: [(&str, SeriesGen); 2] = [
@@ -460,11 +468,15 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
             })
             .sum();
 
+        // Chain encode (schema v9): the `compress_next` loop a simulation
+        // runs, plan cache and reconstruction handoff included.
         let mut enc = session.pipeline::<f32>();
+        let t0 = std::time::Instant::now();
         let blobs: Vec<Vec<u8>> = chain
             .iter()
             .map(|s| enc.compress_next(s).expect("temporal compress").1.blob)
             .collect();
+        let t_encode = t0.elapsed().as_secs_f64();
         let temporal_bytes: usize = blobs.iter().map(Vec::len).sum();
         let stats = enc.stats();
 
@@ -495,8 +507,9 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
         let temporal_cr = raw / temporal_bytes as f64;
         let gain = temporal_cr / independent_cr;
         let chain_mbps = raw / 1e6 / t_chain.max(1e-12);
+        let encode_mbps = raw / 1e6 / t_encode.max(1e-12);
         println!(
-            "{:<14} {:>6} {:>8.2} {:>8.2} {:>5.2}x {:>5}/{}/{} {:>12.1}",
+            "{:<14} {:>6} {:>8.2} {:>8.2} {:>5.2}x {:>5}/{}/{} {:>10.1} {:>10.1} {:>5}",
             name,
             CHAIN,
             independent_cr,
@@ -505,7 +518,9 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
             stats.chain_keyframes,
             stats.chain_deltas,
             stats.chain_fallbacks,
-            chain_mbps
+            encode_mbps,
+            chain_mbps,
+            stats.warm()
         );
         if name == "TS-checkpoint" {
             assert!(
@@ -519,7 +534,8 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
                 "    {{\"backend\": \"qoz\", \"dataset\": \"{}\", ",
                 "\"snapshots\": {}, \"points\": {}, \"eps_rel\": {:e}, ",
                 "\"independent_cr\": {:.4}, \"temporal_cr\": {:.4}, ",
-                "\"temporal_gain\": {:.4}, \"chain_decode_mbps\": {:.3}, ",
+                "\"temporal_gain\": {:.4}, \"chain_encode_mbps\": {:.3}, ",
+                "\"chain_decode_mbps\": {:.3}, \"warm_plans\": {}, ",
                 "\"keyframes\": {}, \"deltas\": {}, \"fallbacks\": {}}}"
             ),
             name,
@@ -529,7 +545,9 @@ fn bench_timeseries(o: &Opts) -> Vec<String> {
             independent_cr,
             temporal_cr,
             gain,
+            encode_mbps,
             chain_mbps,
+            stats.warm(),
             stats.chain_keyframes,
             stats.chain_deltas,
             stats.chain_fallbacks

@@ -225,6 +225,8 @@ pub fn read_header(r: &mut ByteReader) -> Result<Header> {
         }
         dims.push(d);
     }
+    // Decoders size their output from this shape: cap what it declares.
+    let shape = Shape::try_new(&dims).ok_or(CodecError::Corrupt("implausible shape"))?;
     let abs_eb = r.get_f64()?;
     if abs_eb.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !abs_eb.is_finite() {
         return Err(CodecError::Corrupt("bad error bound"));
@@ -232,7 +234,7 @@ pub fn read_header(r: &mut ByteReader) -> Result<Header> {
     Ok(Header {
         compressor,
         scalar_tag,
-        shape: Shape::new(&dims),
+        shape,
         abs_eb,
         temporal,
     })

@@ -210,9 +210,7 @@ impl Qoz {
             CompressorId::Qoz,
             "not a QoZ stream",
         )?;
-        let mut out = NdArray::<T>::zeros(header.shape);
-        qoz_sz3::engine::read_stream_into(&mut r, &header, scratch, &mut out)?;
-        Ok(out)
+        qoz_sz3::engine::read_stream(&mut r, &header, scratch)
     }
 
     /// [`Qoz::decompress_typed`] into a caller-provided array, reshaped

@@ -5,29 +5,37 @@
 //! compression call, yet scientific workloads dump the *same* variables
 //! every timestep: consecutive snapshots are statistically near-identical
 //! and re-derive the same plan. A [`PlanCache`] remembers the last tuned
-//! [`QozPlan`] per `(shape, scalar type, bound)` and replays it while a
-//! cheap sampled drift check says the data still looks like the data the
-//! plan was tuned on.
+//! [`QozPlan`] per `(shape, scalar type)` and replays it while a cheap
+//! sampled drift check says the data, and the bound resolved against
+//! it, still look like what the plan was tuned for.
+//!
+//! The bound *specification* is deliberately not part of the key: it
+//! enters only through the resolved absolute bound, whose drift is
+//! checked like the data's. A temporal chain codes each delta at
+//! `Abs(e_t)`, a value that moves slightly with every snapshot's range;
+//! keyed on the exact spec, every delta would tune cold.
 //!
 //! # Warm-path semantics
 //!
 //! [`Qoz::plan_cached`] returns one of four [`PlanOutcome`]s:
 //!
 //! * **`ColdTuned`** — first call: full tuning ran, plan cached.
-//! * **`WarmHit`** — cache key matched, drift within tolerance, and the
-//!   resolved absolute bound is bit-identical to the cached plan's. The
-//!   cached plan is replayed as-is, so compressing *unchanged data* warm
-//!   produces a stream byte-identical to the cold path.
+//! * **`WarmHit`** — shape and scalar type matched, drift within
+//!   tolerance, and the resolved absolute bound is bit-identical to the
+//!   cached plan's. The cached plan is replayed as-is, so compressing
+//!   *unchanged data* warm produces a stream byte-identical to the cold
+//!   path.
 //! * **`WarmRescaled`** — tuning decisions (anchor stride, per-level
 //!   interpolators, `(alpha, beta)`) are replayed but the per-level
 //!   error bounds are rebuilt from *this call's* resolved absolute
 //!   bound (a relative bound resolves against each snapshot's value
-//!   range). This keeps the hard error-bound contract exact on every
-//!   call — reuse never loosens a bound.
-//! * **`Retuned`** — the key matched but the drift check failed (or the
-//!   resolved bound moved beyond tolerance): full tuning ran again and
-//!   the cache was refreshed. A shape, scalar-type or bound-spec change
-//!   likewise retunes.
+//!   range; a chain's deltas each bring their own absolute bound). This
+//!   keeps the hard error-bound contract exact on every call — reuse
+//!   never loosens a bound.
+//! * **`Retuned`** — the cache held a plan but it could not be reused:
+//!   the shape or scalar type changed, the data drifted, or the resolved
+//!   bound moved beyond tolerance (`|abs / cached - 1| > tolerance`).
+//!   Full tuning ran again and the cache was refreshed.
 //!
 //! The drift check compresses the standard sampled blocks with a fixed
 //! cheap spec and compares the mean absolute prediction error against
@@ -61,8 +69,9 @@ pub enum PlanOutcome {
     /// Cached tuning decisions replayed with level bounds rebuilt from
     /// this call's resolved absolute bound.
     WarmRescaled,
-    /// Cache key matched but drift exceeded tolerance (or the key
-    /// changed): full tuning ran again.
+    /// The cached plan could not be reused (shape or scalar type
+    /// changed, or the data or the resolved bound drifted beyond
+    /// tolerance): full tuning ran again.
     Retuned,
 }
 
@@ -77,6 +86,8 @@ impl PlanOutcome {
 struct CachedPlan {
     shape: Shape,
     scalar_tag: u8,
+    /// The bound spec the plan was tuned for; carried into snapshots
+    /// only, never compared.
     bound: ErrorBound,
     plan: QozPlan,
     /// Sampled mean absolute prediction error at tuning time — the
@@ -101,7 +112,9 @@ pub struct PlanSnapshot {
     /// Element type the plan was tuned for (`Scalar::TYPE_TAG`).
     pub scalar_tag: u8,
     /// Bound *specification* (not the resolved absolute value) the plan
-    /// answers — part of the cache key.
+    /// was tuned for. Not part of the cache key — a bound enters only
+    /// through the resolved-bound drift check — but `qoz-serve` keys its
+    /// persisted plans by it.
     pub bound: ErrorBound,
     /// The tuned plan itself.
     pub plan: QozPlan,
@@ -110,7 +123,8 @@ pub struct PlanSnapshot {
 }
 
 /// Caches the last tuned [`QozPlan`] for reuse across same-shape,
-/// same-bound calls.
+/// same-type calls whose resolved bounds stay within the drift
+/// tolerance.
 ///
 /// One cache belongs to one logical compression stream (one variable of
 /// one simulation); it assumes the [`Qoz`] configuration it is used with
@@ -173,8 +187,9 @@ impl PlanCache {
     }
 
     /// Seed the cache from a persisted snapshot, replacing any current
-    /// entry. The next [`Qoz::plan_cached`] call whose key matches and
-    /// whose data passes the drift check replays the seeded plan warm —
+    /// entry. The next [`Qoz::plan_cached`] call whose shape and type
+    /// match and whose data and bound pass the drift check replays the
+    /// seeded plan warm —
     /// this is how a restarted `qoz-serve` skips its first cold tune.
     pub fn seed(&mut self, snap: PlanSnapshot) {
         self.entry = Some(CachedPlan {
@@ -217,8 +232,9 @@ fn sampled_pred_err<T: Scalar>(qoz: &Qoz, data: &NdArray<T>, abs_eb: f64) -> f64
 
 impl Qoz {
     /// [`Qoz::plan`] with caching: replay the cached tuning decisions
-    /// when the request matches the cache and the data has not drifted,
-    /// otherwise tune and refresh the cache. See the module docs for the
+    /// when shape and scalar type match the cache and neither the data
+    /// nor the resolved bound has drifted, otherwise tune and refresh
+    /// the cache. See the module docs for the
     /// exact warm/rescale/retune semantics.
     ///
     /// Every returned plan derives its per-level error bounds from *this
@@ -234,7 +250,7 @@ impl Qoz {
         let pred_err = sampled_pred_err(self, data, abs_eb);
 
         if let Some(e) = &cache.entry {
-            if e.shape == data.shape() && e.scalar_tag == T::TYPE_TAG && e.bound == bound {
+            if e.shape == data.shape() && e.scalar_tag == T::TYPE_TAG {
                 let abs_drift = (abs_eb / e.plan.abs_eb - 1.0).abs();
                 // Guard the ratio against a near-zero reference (constant
                 // or perfectly predictable fields).
@@ -428,7 +444,8 @@ impl PlanSnapshot {
         if r.remaining() != 0 {
             return Err(CodecError::Corrupt("trailing bytes in plan snapshot"));
         }
-        let shape = Shape::new(&dims);
+        let shape = Shape::try_new(&dims)
+            .ok_or(CodecError::Corrupt("implausible shape in plan snapshot"))?;
         let spec = InterpSpec {
             anchor_stride,
             max_level,
@@ -554,6 +571,26 @@ mod tests {
         qoz.plan_cached(&data, ErrorBound::Rel(1e-3), &mut cache);
         let (_, o) = qoz.plan_cached(&data, ErrorBound::Rel(1e-2), &mut cache);
         assert_eq!(o, PlanOutcome::Retuned);
+    }
+
+    #[test]
+    fn small_bound_change_rescales() {
+        // A delta chain's `Abs(e_t)` moves a little every snapshot: the
+        // bound spec changed, but the resolved bound stays within the
+        // drift tolerance, so the tuning decisions replay.
+        let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
+        let qoz = Qoz::default();
+        let mut cache = PlanCache::default();
+        let (first, _) = qoz.plan_cached(&data, ErrorBound::Abs(1e-3), &mut cache);
+        let (plan, o) = qoz.plan_cached(&data, ErrorBound::Abs(1.05e-3), &mut cache);
+        assert_eq!(o, PlanOutcome::WarmRescaled);
+        assert_eq!((plan.alpha, plan.beta), (first.alpha, first.beta));
+        assert_eq!(plan.spec.level_configs, first.spec.level_configs);
+        assert_eq!(plan.abs_eb, 1.05e-3);
+        assert_eq!(
+            plan.spec.level_ebs,
+            level_error_bounds(1.05e-3, plan.alpha, plan.beta, plan.spec.max_level)
+        );
     }
 
     #[test]

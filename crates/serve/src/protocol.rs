@@ -707,8 +707,12 @@ fn get_dims_with(r: &mut ByteReader, allow_zero: bool) -> qoz_codec::Result<Vec<
     Ok(dims)
 }
 
+/// A shape: every extent non-zero and the element count within
+/// [`qoz_tensor::MAX_ELEMS`], since both ends size buffers from it.
 fn get_dims(r: &mut ByteReader) -> qoz_codec::Result<Vec<usize>> {
-    get_dims_with(r, false)
+    let dims = get_dims_with(r, false)?;
+    qoz_tensor::Shape::try_new(&dims).ok_or(CodecError::Corrupt("implausible shape"))?;
+    Ok(dims)
 }
 
 fn get_dims_allow_zero(r: &mut ByteReader) -> qoz_codec::Result<Vec<usize>> {

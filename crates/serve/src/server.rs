@@ -764,9 +764,9 @@ impl WorkerState {
             Err(e) => return error_from_codec(&e),
         };
         if header.scalar_tag == f32::TYPE_TAG {
-            decompress_as::<f32>(&mut self.scratch_f32, blob, header.shape, deadline)
+            decompress_as::<f32>(&mut self.scratch_f32, blob, deadline)
         } else if header.scalar_tag == f64::TYPE_TAG {
-            decompress_as::<f64>(&mut self.scratch_f64, blob, header.shape, deadline)
+            decompress_as::<f64>(&mut self.scratch_f64, blob, deadline)
         } else {
             Response::Error {
                 code: ErrorCode::CorruptInput,
@@ -933,13 +933,11 @@ fn serve_compress<T: Scalar>(
     }
 }
 
-fn decompress_as<T: Scalar>(
-    scratch: &mut Scratch<T>,
-    blob: &[u8],
-    shape: Shape,
-    deadline: Instant,
-) -> Response {
-    let mut out = NdArray::<T>::zeros(shape);
+fn decompress_as<T: Scalar>(scratch: &mut Scratch<T>, blob: &[u8], deadline: Instant) -> Response {
+    // The decoder grows `out` only once the payload agrees with the
+    // shape its header declares; preallocating from the header would let
+    // one crafted request size the allocation.
+    let mut out = NdArray::<T>::zeros(Shape::d1(1));
     if let Err(e) = qoz_api::BackendRegistry::new().decompress_into(blob, scratch, &mut out) {
         return error_from_codec(&e);
     }
@@ -952,7 +950,7 @@ fn decompress_as<T: Scalar>(
     }
     Response::Decompressed {
         scalar_tag: T::TYPE_TAG,
-        dims: shape.dims().to_vec(),
+        dims: out.shape().dims().to_vec(),
         raw,
     }
 }

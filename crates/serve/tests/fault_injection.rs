@@ -290,6 +290,46 @@ fn corrupt_frames_earn_typed_errors_and_daemon_stays_up() {
 }
 
 #[test]
+fn crafted_stream_shapes_earn_corrupt_input_and_daemon_stays_up() {
+    // Decompress requests whose stream header declares more than any
+    // payload fills: 4096^4 elements (over the shape cap), and
+    // 16 x 2^16 x 2^16 (exactly at it) over an empty QoZ body. Neither
+    // may size an allocation; both answer CorruptInput.
+    let header = |dims: &[u64]| {
+        let mut w = qoz_codec::ByteWriter::new();
+        w.put_bytes(&qoz_codec::stream::MAGIC);
+        w.put_u8(qoz_codec::stream::VERSION);
+        w.put_u8(qoz_codec::CompressorId::Qoz as u8);
+        w.put_u8(0x32); // f32
+        w.put_u8(dims.len() as u8);
+        for &d in dims {
+            w.put_varint(d);
+        }
+        w.put_f64(1e-3);
+        w
+    };
+    let over_cap = header(&[4096; 4]).finish();
+    let mut at_cap = header(&[16, 1 << 16, 1 << 16]);
+    qoz_sz3::InterpSpec::anchored(32, 1e-3, Default::default()).write(&mut at_cap);
+    at_cap.put_len_prefixed(&qoz_codec::encode_bins(&[]));
+    at_cap.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
+    at_cap.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
+    let at_cap = at_cap.finish();
+
+    let server = Server::start(ServerConfig::new(unix_ep("shape"))).unwrap();
+    let mut client = quick_client(server.endpoint());
+    for blob in [over_cap, at_cap] {
+        let req = Request::Decompress { budget_ms: 0, blob };
+        match client.call_once(&req).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::CorruptInput),
+            other => panic!("wanted CorruptInput, got {other:?}"),
+        }
+    }
+    client.ping().unwrap();
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn draining_daemon_rejects_new_work_with_shutting_down() {
     let server = Server::start(ServerConfig::new(unix_ep("drain"))).unwrap();
     let mut client = quick_client(server.endpoint());

@@ -182,13 +182,13 @@ impl Sz2 {
         let bins = qoz_codec::decode_bins(r.get_len_prefixed()?)?;
         let unpred = qoz_codec::lossless_decompress(r.get_len_prefixed()?)?;
 
-        let blocks = Region::tile(shape, side);
         if bins.len() != shape.len() {
             return Err(CodecError::Corrupt("bin count mismatch"));
         }
-        if selector_codes.len() != blocks.len() {
+        if selector_codes.len() != Region::tile_count(shape, side) {
             return Err(CodecError::Corrupt("selector count mismatch"));
         }
+        let blocks = Region::tile(shape, side);
         let mut coef_reader = ByteReader::new(&coef_bytes);
         let mut unpred_reader = ByteReader::new(&unpred);
         let quant = LinearQuantizer::new(header.abs_eb);

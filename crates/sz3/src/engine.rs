@@ -20,7 +20,9 @@ use crate::spec::InterpSpec;
 use qoz_codec::simd::KernelPath;
 use qoz_codec::stream::{self, Header};
 use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, Scratch};
-use qoz_predict::{base_stride, for_each_base_point, traverse_level};
+use qoz_predict::{
+    base_point_count, base_stride, for_each_base_point, level_point_count, traverse_level,
+};
 use qoz_tensor::{NdArray, Scalar, Shape};
 
 /// Everything produced by one compression pass.
@@ -249,18 +251,15 @@ pub fn check_stream_header<T: Scalar>(
     Ok(header)
 }
 
-/// Decode the body of a stream assembled by [`write_stream`] — spec,
-/// entropy-coded bins, packed side streams — staging every section in
-/// `scratch`, then rebuild the array into `out` (reshaped in place).
-/// The read-side mirror of [`compress_with_spec_into`] +
-/// [`write_stream`]; decoded values are bitwise-identical to the
-/// allocating [`decompress_with_spec`] chain.
-pub fn read_stream_into<T: Scalar>(
+/// Stage the body of a stream assembled by [`write_stream`] — spec,
+/// entropy-coded bins, packed side streams — in `scratch`; returns the
+/// spec. The shared front half of [`read_stream_into`] and
+/// [`read_stream`].
+fn read_sections<T: Scalar>(
     r: &mut ByteReader,
     header: &Header,
     scratch: &mut Scratch<T>,
-    out: &mut NdArray<T>,
-) -> Result<()> {
+) -> Result<InterpSpec> {
     let spec = InterpSpec::read(r, header.shape)?;
     qoz_codec::decode_bins_with(
         r.get_len_prefixed()?,
@@ -277,6 +276,21 @@ pub fn read_stream_into<T: Scalar>(
         &mut scratch.entropy,
         &mut scratch.anchors,
     )?;
+    Ok(spec)
+}
+
+/// Decode the body of a stream assembled by [`write_stream`], staging
+/// every section in `scratch`, then rebuild the array into `out`
+/// (reshaped in place). The read-side mirror of
+/// [`compress_with_spec_into`] + [`write_stream`]; decoded values are
+/// bitwise-identical to the allocating [`read_stream`].
+pub fn read_stream_into<T: Scalar>(
+    r: &mut ByteReader,
+    header: &Header,
+    scratch: &mut Scratch<T>,
+    out: &mut NdArray<T>,
+) -> Result<()> {
+    let spec = read_sections(r, header, scratch)?;
     if decompress_with_spec_into(
         header.shape,
         &spec,
@@ -290,7 +304,27 @@ pub fn read_stream_into<T: Scalar>(
     Ok(())
 }
 
+/// [`read_stream_into`] into a fresh array, the allocating decoders'
+/// result (allocated by [`decompress_with_spec`], so only once the
+/// payload's counts agree with the header's shape).
+pub fn read_stream<T: Scalar>(
+    r: &mut ByteReader,
+    header: &Header,
+    scratch: &mut Scratch<T>,
+) -> Result<NdArray<T>> {
+    let spec = read_sections(r, header, scratch)?;
+    decompress_with_spec(
+        header.shape,
+        &spec,
+        &scratch.bins,
+        &scratch.unpred,
+        &scratch.anchors,
+    )
+}
+
 /// Mirror of [`compress_with_spec`]: rebuild the array from streams.
+/// The result is allocated only after the section lengths check out
+/// against `shape`.
 pub fn decompress_with_spec<T: Scalar>(
     shape: Shape,
     spec: &InterpSpec,
@@ -298,9 +332,36 @@ pub fn decompress_with_spec<T: Scalar>(
     unpred: &[u8],
     anchors: &[u8],
 ) -> Result<NdArray<T>> {
+    check_sections::<T>(shape, spec, bins, anchors)?;
     let mut work = NdArray::<T>::zeros(shape);
     decompress_with_spec_into(shape, spec, bins, unpred, anchors, &mut work)?;
     Ok(work)
+}
+
+/// Check that `bins` and `anchors` hold exactly what
+/// [`compress_with_spec_into`] emits for `shape` under `spec`, so a
+/// header declaring a shape its payload cannot fill is an error before
+/// anything is sized from it.
+fn check_sections<T: Scalar>(
+    shape: Shape,
+    spec: &InterpSpec,
+    bins: &[u32],
+    anchors: &[u8],
+) -> Result<()> {
+    let (base_bins, anchor_bytes) = match spec.anchor_stride {
+        Some(a) => (0, base_point_count(shape, a as usize) * T::BYTES),
+        None => (base_point_count(shape, base_stride(spec.max_level)), 0),
+    };
+    let level_bins: usize = (1..=spec.max_level)
+        .map(|level| level_point_count(shape, level, spec.config_of(level)))
+        .sum();
+    if bins.len() != base_bins + level_bins {
+        return Err(CodecError::Corrupt("bin count disagrees with shape"));
+    }
+    if anchors.len() != anchor_bytes {
+        return Err(CodecError::Corrupt("anchor section disagrees with shape"));
+    }
+    Ok(())
 }
 
 /// [`decompress_with_spec`] into a caller-provided array: `out` is
@@ -309,6 +370,9 @@ pub fn decompress_with_spec<T: Scalar>(
 /// Returns `true` when `out`'s backing buffer had to grow, so callers
 /// tracking zero-allocation steady state can count the event. The
 /// reconstruction is bitwise-identical to [`decompress_with_spec`].
+///
+/// The section lengths are checked against `shape` before `out` is
+/// touched.
 pub fn decompress_with_spec_into<T: Scalar>(
     shape: Shape,
     spec: &InterpSpec,
@@ -317,6 +381,7 @@ pub fn decompress_with_spec_into<T: Scalar>(
     anchors: &[u8],
     out: &mut NdArray<T>,
 ) -> Result<bool> {
+    check_sections::<T>(shape, spec, bins, anchors)?;
     let grew = out.reset_zeros(shape);
     let work = out;
     let mut bin_pos = 0usize;

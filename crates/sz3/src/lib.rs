@@ -99,9 +99,7 @@ impl Sz3 {
         let mut r = ByteReader::new(blob);
         let header =
             engine::check_stream_header::<T>(&mut r, CompressorId::Sz3, "not an SZ3 stream")?;
-        let mut out = NdArray::<T>::zeros(header.shape);
-        engine::read_stream_into(&mut r, &header, scratch, &mut out)?;
-        Ok(out)
+        engine::read_stream(&mut r, &header, scratch)
     }
 
     /// [`Sz3::decompress_typed`] into a caller-provided array, reshaped

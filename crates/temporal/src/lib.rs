@@ -47,7 +47,10 @@
 //! comparing the local variation of the residual against that of the raw
 //! data; when the residual is the denser signal (first snapshot, shape
 //! change, regime change, fast motion) the session falls back to an
-//! independent **keyframe**. The decision is recorded per snapshot in
+//! independent **keyframe**. A predecessor reconstruction holding NaN or
+//! ±Inf always forces a keyframe: the residual against it is non-finite
+//! at that point, so a delta would hand the non-finite value on to
+//! every later snapshot. The decision is recorded per snapshot in
 //! the stream header ([`TemporalMode`], format
 //! [`qoz_codec::stream::VERSION_TEMPORAL`]) so decode is fully
 //! self-describing — no out-of-band chain metadata.
@@ -109,10 +112,8 @@ fn record_outcome(outcome: TemporalOutcome) {
 /// Stateful temporal coder for one snapshot chain.
 ///
 /// Holds the reconstruction of the previous chain member (the encoder
-/// maintains it by decoding its *own* output, so encoder and decoder
-/// state are bit-identical) and a recycled residual arena; both buffers
-/// are reused across snapshots, so the steady state allocates only what
-/// the inner codec does.
+/// keeps exactly what a decoder of its own output holds, so encoder and
+/// decoder state are bit-identical) and a recycled residual arena.
 ///
 /// One session per chain (per variable of one simulation). Feed
 /// snapshots in order; [`TemporalSession::reset`] starts a new chain.
@@ -161,16 +162,22 @@ impl<T: Scalar> TemporalSession<T> {
     /// The sampled keyframe-vs-delta estimate: `true` when the residual
     /// field looks cheaper to code than the snapshot itself.
     ///
-    /// Walks ~1K strided pairs of adjacent points and compares the mean
-    /// local variation of the residual `x - prev` against that of `x`.
-    /// Local variation is what the interpolation predictor leaves for
-    /// the quantizer, so it is a cheap, allocation-free proxy for the
-    /// entropy of the quantized stream. Cost is O(probes), independent
-    /// of the field size.
+    /// A predecessor holding any NaN or ±Inf always loses: `x - prev`
+    /// is non-finite there whatever `x` is, so a delta would carry the
+    /// non-finite value into every later reconstruction of that point.
+    /// That check reads all of `prev`; the estimate proper walks ~1K
+    /// strided pairs of adjacent points and compares the mean local
+    /// variation of the residual `x - prev` against that of `x`. Local
+    /// variation is what the interpolation predictor leaves for the
+    /// quantizer, so it is a cheap, allocation-free proxy for the
+    /// entropy of the quantized stream.
     pub fn residual_beats_spatial(data: &NdArray<T>, prev: &NdArray<T>) -> bool {
         debug_assert_eq!(data.shape(), prev.shape());
         let x = data.as_slice();
         let p = prev.as_slice();
+        if !p.iter().all(|v| v.is_finite()) {
+            return false;
+        }
         if x.len() < 2 {
             // A single point has no variation either way; the residual
             // (usually near zero) is the safer stream.
@@ -195,9 +202,13 @@ impl<T: Scalar> TemporalSession<T> {
     /// Decides keyframe vs delta, hands the field to code (snapshot or
     /// residual) to `encode` together with the bound it must honor, and
     /// wraps the returned plain stream as a self-describing temporal
-    /// frame. `decode` must invert `encode` (it is called once, on
-    /// `encode`'s own output) — the session uses it to maintain the
-    /// prior-*reconstruction* state on the encode side.
+    /// frame. `decode` is called once, on `encode`'s own output, and
+    /// must return exactly what decoding it yields — the session keeps
+    /// that as the prior-*reconstruction* state on the encode side. An
+    /// engine that already holds the reconstruction (the SZ-family
+    /// engines predict from reconstructed values, so their working
+    /// buffer *is* the decoder's output) may hand it over instead of
+    /// decoding.
     ///
     /// Bound handling per the composed-error contract: keyframes are
     /// coded at the caller's bound unchanged (their inner stream is

@@ -24,4 +24,4 @@ pub use array::NdArray;
 pub use region::Region;
 pub use sample::{sample_blocks, SamplePlan};
 pub use scalar::Scalar;
-pub use shape::{Shape, MAX_NDIM};
+pub use shape::{Shape, MAX_ELEMS, MAX_NDIM};

@@ -116,6 +116,14 @@ impl Region {
         })
     }
 
+    /// Number of blocks [`Region::tile`] cuts `shape` into, without
+    /// building them (decoders compare it with a stream's counts before
+    /// allocating anything for a declared shape).
+    pub fn tile_count(shape: Shape, block: usize) -> usize {
+        assert!(block > 0, "block size must be positive");
+        shape.dims().iter().map(|&d| d.div_ceil(block)).product()
+    }
+
     /// Split a shape into a grid of regions of at most `block` elements
     /// per side. This is the anchor-block partitioning used by QoZ and
     /// the chunk grid of `qoz_archive`.

@@ -11,6 +11,12 @@
 /// fields treated as independent snapshots.
 pub const MAX_NDIM: usize = 4;
 
+/// Largest element count [`Shape::try_new`] accepts (2^36, ~275 GB of
+/// f32). Shapes read from bytes (stream headers, plan files, archive
+/// TOCs, wire requests) are plaintext anyone can edit, and decoders
+/// size allocations from them, so anything larger is corruption.
+pub const MAX_ELEMS: u64 = 1 << 36;
+
 /// The dimensions (and derived strides) of a dense row-major array.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -53,6 +59,20 @@ impl Shape {
             strides,
             ndim: dims.len(),
         }
+    }
+
+    /// [`Shape::new`] for dimensions read from untrusted bytes: `None`
+    /// instead of a panic (or a wrapped stride product) when the rank is
+    /// out of range, an extent is zero, or the element count overflows
+    /// or exceeds [`MAX_ELEMS`].
+    pub fn try_new(dims: &[usize]) -> Option<Self> {
+        if dims.is_empty() || dims.len() > MAX_NDIM || dims.contains(&0) {
+            return None;
+        }
+        let elems = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))?;
+        // Every stride divides the element count, so `new` cannot
+        // overflow below the cap.
+        (elems as u64 <= MAX_ELEMS).then(|| Shape::new(dims))
     }
 
     /// 1D convenience constructor.
@@ -188,6 +208,26 @@ impl ExactSizeIterator for IndexIter {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn try_new_caps_the_element_count() {
+        assert_eq!(Shape::try_new(&[4, 5, 6]), Some(Shape::d3(4, 5, 6)));
+        assert_eq!(
+            Shape::try_new(&[16, 1 << 32]).map(|s| s.len()),
+            Some(1 << 36)
+        );
+        for dims in [
+            &[32, 1 << 32][..],
+            &[4096; 4],
+            &[1, 1 << 32, 1 << 32],
+            &[usize::MAX, 2],
+            &[],
+            &[3, 0],
+            &[1; MAX_NDIM + 1],
+        ] {
+            assert_eq!(Shape::try_new(dims), None, "{dims:?}");
+        }
+    }
 
     #[test]
     fn strides_row_major_3d() {

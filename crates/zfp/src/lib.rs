@@ -188,10 +188,10 @@ impl Zfp {
         let mut raw_r = ByteReader::new(raw);
         let mut bits = BitReader::new(planes);
 
-        let blocks = Region::tile(shape, BLOCK_SIDE);
-        if tags.len() < blocks.len() {
+        if tags.len() < Region::tile_count(shape, BLOCK_SIDE) {
             return Err(CodecError::UnexpectedEof);
         }
+        let blocks = Region::tile(shape, BLOCK_SIDE);
         let mut out = NdArray::<T>::zeros(shape);
         let mut ints = vec![0i64; n];
         for (region, &tag) in blocks.iter().zip(tags.iter()) {

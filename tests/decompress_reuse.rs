@@ -160,6 +160,39 @@ fn warm_pipeline_decode_allocates_nothing() {
     }
 }
 
+/// The chain read path: once one pass over a chain has grown the arena,
+/// `Pipeline::decompress_next` over the same chain grows nothing (its
+/// per-snapshot result array is not an arena buffer).
+#[test]
+fn warm_chain_decode_allocates_no_stage_buffer() {
+    let field = qoz_suite::datagen::time_series_like(Shape::new(&[4, 16, 24, 24]), 3);
+    let base = Shape::d3(16, 24, 24);
+    let session = Session::builder()
+        .bound(ErrorBound::Rel(1e-3))
+        .build()
+        .unwrap();
+    let mut enc = session.pipeline::<f32>();
+    let frames: Vec<Vec<u8>> = field
+        .as_slice()
+        .chunks_exact(base.len())
+        .map(|s| {
+            let snap = NdArray::from_vec(base, s.to_vec());
+            enc.compress_next(&snap).unwrap().1.blob
+        })
+        .collect();
+    let mut dec = session.pipeline::<f32>();
+    for pass in 0..2 {
+        let before = dec.stats().decode_grow_events;
+        for frame in &frames {
+            dec.decompress_next(frame).unwrap();
+        }
+        dec.reset_chain();
+        if pass == 1 {
+            assert_eq!(dec.stats().decode_grow_events, before, "warm chain decode");
+        }
+    }
+}
+
 fn tiled_archive() -> (Vec<u8>, NdArray<f32>, NdArray<f32>) {
     let rho = field_f32();
     let vel = NdArray::from_fn(rho.shape(), |i| {

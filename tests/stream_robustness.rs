@@ -309,3 +309,90 @@ fn header_shape_mismatch_on_giant_dims_rejected() {
     let r: Result<NdArray<f32>, _> = c.decompress(&blob);
     assert!(r.is_err());
 }
+
+/// A plain-stream header declaring `dims`, written field by field so it
+/// can declare shapes no `Shape` could hold.
+fn crafted_header(id: qoz_suite::api::BackendId, dims: &[u64]) -> qoz_suite::codec::ByteWriter {
+    let mut w = qoz_suite::codec::ByteWriter::new();
+    w.put_bytes(&qoz_suite::codec::stream::MAGIC);
+    w.put_u8(qoz_suite::codec::stream::VERSION);
+    w.put_u8(id as u8);
+    w.put_u8(0x32); // f32
+    w.put_u8(dims.len() as u8);
+    for &d in dims {
+        w.put_varint(d);
+    }
+    w.put_f64(1e-3);
+    w
+}
+
+/// The smallest well-formed body each backend parses: every section
+/// present and empty, so only the declared shape is wrong.
+fn empty_body(id: qoz_suite::api::BackendId, w: &mut qoz_suite::codec::ByteWriter) {
+    use qoz_suite::api::BackendId;
+    use qoz_suite::codec::{encode_bins, lossless_compress};
+    match id {
+        BackendId::Qoz | BackendId::Sz3 => {
+            qoz_suite::sz3::InterpSpec::anchored(32, 1e-3, Default::default()).write(w);
+            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(&lossless_compress(&[]));
+            w.put_len_prefixed(&lossless_compress(&[]));
+        }
+        BackendId::Mgard => {
+            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(&lossless_compress(&[]));
+        }
+        BackendId::Sz2 => {
+            w.put_varint(8); // block side
+            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(&lossless_compress(&[]));
+            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(&lossless_compress(&[]));
+        }
+        BackendId::Zfp => {
+            w.put_len_prefixed(&lossless_compress(&[]));
+            w.put_len_prefixed(&[]);
+            w.put_len_prefixed(&[]);
+        }
+    }
+}
+
+#[test]
+fn crafted_header_shapes_error_without_allocating() {
+    use qoz_suite::api::{BackendId, Session};
+    // 4096^4 passes the per-dimension cap (2^48 elements); 1 x 2^32 x
+    // 2^32 overflows the stride product; 16 x 2^16 x 2^16 sits exactly at
+    // the element cap, so the header parses and each decoder must notice
+    // that the payload cannot fill it before allocating 256 GiB.
+    let shapes: [&[u64]; 3] = [&[4096; 4], &[1, 1 << 32, 1 << 32], &[16, 1 << 16, 1 << 16]];
+    for id in [
+        BackendId::Sz2,
+        BackendId::Sz3,
+        BackendId::Zfp,
+        BackendId::Mgard,
+        BackendId::Qoz,
+    ] {
+        let session = Session::builder()
+            .backend(id)
+            .bound(ErrorBound::Rel(1e-3))
+            .build()
+            .unwrap();
+        for dims in shapes {
+            let mut w = crafted_header(id, dims);
+            empty_body(id, &mut w);
+            let blob = w.finish();
+            assert!(
+                session.decompress::<f32>(&blob).is_err(),
+                "{id:?} {dims:?}: Session::decompress"
+            );
+            let mut out = NdArray::zeros(qoz_suite::tensor::Shape::d1(1));
+            assert!(
+                session
+                    .pipeline::<f32>()
+                    .decompress_into(&blob, &mut out)
+                    .is_err(),
+                "{id:?} {dims:?}: Pipeline::decompress_into"
+            );
+        }
+    }
+}

@@ -6,25 +6,28 @@
 //! its own snapshot, decoding a chain of any length reproduces every
 //! snapshot within that snapshot's bound — errors do not accumulate.
 //! These tests pin that promise across long chains, both scalar widths,
-//! and chains where the estimator falls back to keyframes mid-stream.
+//! chains where the estimator falls back to keyframes mid-stream, and
+//! chains holding a NaN or ±Inf. They also pin that a chain's deltas
+//! replay one tuned plan, and that the reconstruction the encoder keeps
+//! equals a real decode of its output.
 
 use qoz_suite::api::{Session, TemporalMode};
-use qoz_suite::codec::ErrorBound;
+use qoz_suite::archive::{snapshot_name, ArchiveAppender, ArchiveReader, ArchiveWriter};
+use qoz_suite::codec::{ErrorBound, Scratch};
 use qoz_suite::datagen;
-use qoz_suite::tensor::{NdArray, Shape};
+use qoz_suite::qoz::PlanCache;
+use qoz_suite::temporal::TemporalSession;
+use qoz_suite::tensor::{NdArray, Scalar, Shape};
 
 const SNAPSHOTS: usize = 10;
 const EPS: f64 = 1e-3;
 
 /// Consecutive same-shape 3D snapshots of one slowly evolving field.
-fn series_f32(snapshots: usize, seed: u64) -> Vec<NdArray<f32>> {
-    let base = Shape::d3(20, 24, 24);
-    let shape4 = Shape::new(&[snapshots, 20, 24, 24]);
-    let field = datagen::time_series_like(shape4, seed);
-    let step = base.len();
-    (0..snapshots)
-        .map(|t| NdArray::from_vec(base, field.as_slice()[t * step..(t + 1) * step].to_vec()))
-        .collect()
+fn series_f32(count: usize, seed: u64) -> Vec<NdArray<f32>> {
+    snapshots(&datagen::time_series_like(
+        Shape::new(&[count, 20, 24, 24]),
+        seed,
+    ))
 }
 
 fn widen(s: &NdArray<f32>) -> NdArray<f64> {
@@ -174,4 +177,171 @@ fn advecting_series_delta_codes_and_beats_independent() {
         "temporal coding should beat independent on an advecting series \
          ({chain_bytes} vs {ind_bytes} bytes)"
     );
+}
+
+/// The snapshots of a 4-D `[t, x, y, z]` field, each as a 3-D array.
+fn snapshots(field: &NdArray<f32>) -> Vec<NdArray<f32>> {
+    let shape = field.shape();
+    let base = Shape::d3(shape.dim(1), shape.dim(2), shape.dim(3));
+    field
+        .as_slice()
+        .chunks_exact(base.len())
+        .map(|s| NdArray::from_vec(base, s.to_vec()))
+        .collect()
+}
+
+/// The chain `Pipeline::compress_next` codes, rebuilt from its public
+/// parts with a decode closure that really decodes each inner stream.
+fn decoding_reference<T: Scalar>(session: &Session, snaps: &[NdArray<T>]) -> Vec<Vec<u8>> {
+    let qoz = session.registry().qoz();
+    let mut cache = PlanCache::new(session.drift_tolerance());
+    let mut scratch = Scratch::new();
+    let mut chain = TemporalSession::new();
+    snaps
+        .iter()
+        .map(|s| {
+            chain
+                .compress_next(
+                    s,
+                    ErrorBound::Rel(EPS),
+                    |field, bound| {
+                        let (plan, _) = qoz.plan_cached(field, bound, &mut cache);
+                        qoz.compress_with_plan_scratched(field, &plan, &mut scratch)
+                    },
+                    |inner| qoz.decompress_typed(inner),
+                )
+                .unwrap()
+                .1
+        })
+        .collect()
+}
+
+/// Code `snaps` through a pipeline, decode them back, and check the
+/// warm count, the bound and the bytes against [`decoding_reference`].
+fn check_replayed_chain<T: Scalar>(snaps: &[NdArray<T>], what: &str) {
+    let session = Session::builder()
+        .bound(ErrorBound::Rel(EPS))
+        .build()
+        .unwrap();
+    let mut enc = session.pipeline::<T>();
+    let frames: Vec<Vec<u8>> = snaps
+        .iter()
+        .map(|s| enc.compress_next(s).unwrap().1.blob)
+        .collect();
+    let stats = enc.stats();
+    assert!(
+        stats.warm() >= 8,
+        "{what}: deltas should replay the tuned plan, got {stats:?}"
+    );
+    let mut dec = session.pipeline::<T>();
+    for (t, (s, frame)) in snaps.iter().zip(&frames).enumerate() {
+        let recon = dec.decompress_next(frame).unwrap();
+        let abs = ErrorBound::Rel(EPS).absolute(s);
+        let ulp = if T::BYTES == 4 {
+            f32::EPSILON as f64
+        } else {
+            f64::EPSILON
+        };
+        let err = s.max_abs_diff(recon);
+        assert!(
+            err <= slack(abs, ulp),
+            "{what} snapshot {t}: max error {err:e} exceeds bound {abs:e}"
+        );
+    }
+    assert!(
+        frames == decoding_reference(&session, snaps),
+        "{what}: the handed-over reconstruction must equal a real decode"
+    );
+}
+
+#[test]
+fn chains_replay_tuned_plans_and_match_a_decoding_chain() {
+    let shape4 = Shape::new(&[12, 16, 32, 32]);
+    for (what, field) in [
+        ("like", datagen::time_series_like(shape4, 0x5EED)),
+        ("advect", datagen::time_series_advect(shape4, 7)),
+    ] {
+        let snaps = snapshots(&field);
+        check_replayed_chain(&snaps, &format!("{what} f32"));
+        let wide: Vec<NdArray<f64>> = snaps.iter().map(widen).collect();
+        check_replayed_chain(&wide, &format!("{what} f64"));
+    }
+}
+
+/// Four 24x48x48 snapshots; snapshot 1 holds `bad` at one point the
+/// keyframe estimator's ~1K strided probes skip, so that snapshot is
+/// still delta-coded.
+fn chain_with_one_non_finite(bad: f32) -> (Vec<NdArray<f32>>, usize) {
+    let mut snaps = snapshots(&datagen::time_series_like(
+        Shape::new(&[4, 24, 48, 48]),
+        0xBAD,
+    ));
+    let stride = snaps[1].len() / 1024;
+    let at = 1 + stride / 2;
+    snaps[1].as_mut_slice()[at] = bad;
+    (snaps, at)
+}
+
+/// Invariant 1 with non-finite inputs: finite points decode finite and
+/// within `abs`, non-finite points decode to the same class.
+fn assert_within_bound(orig: &NdArray<f32>, recon: &NdArray<f32>, abs: f64, what: &str) {
+    for (i, (&x, &y)) in orig.as_slice().iter().zip(recon.as_slice()).enumerate() {
+        let ok = if x.is_nan() {
+            y.is_nan()
+        } else if x.is_infinite() {
+            x == y
+        } else {
+            y.is_finite() && (x as f64 - y as f64).abs() <= slack(abs, f32::EPSILON as f64)
+        };
+        assert!(ok, "{what}: point {i} is {x} but decodes as {y}");
+    }
+}
+
+#[test]
+fn non_finite_point_does_not_poison_the_pipeline_chain() {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let (snaps, at) = chain_with_one_non_finite(bad);
+        let session = Session::builder()
+            .bound(ErrorBound::Rel(EPS))
+            .build()
+            .unwrap();
+        let mut enc = session.pipeline::<f32>();
+        let mut dec = session.pipeline::<f32>();
+        for (t, s) in snaps.iter().enumerate() {
+            let (outcome, out) = enc.compress_next(s).unwrap();
+            let recon = dec.decompress_next(&out.blob).unwrap();
+            let abs = ErrorBound::Rel(EPS).absolute(s);
+            assert_within_bound(s, recon, abs, &format!("{bad} snapshot {t} (point {at})"));
+            if t == 2 {
+                assert_eq!(
+                    outcome.mode(),
+                    TemporalMode::Keyframe,
+                    "{bad}: a non-finite predecessor forces a keyframe"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn non_finite_point_does_not_poison_the_archive_chain() {
+    let codec = qoz_suite::sz3::Sz3::default();
+    let empty = ArchiveWriter::new().finish();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let (snaps, at) = chain_with_one_non_finite(bad);
+        let mut app = ArchiveAppender::from_bytes(&empty)
+            .unwrap()
+            .with_chunk_side(16);
+        for (t, s) in snaps.iter().enumerate() {
+            app.add_snapshot_chained("u", t as u64, s, &codec, ErrorBound::Rel(EPS))
+                .unwrap();
+        }
+        let bytes = app.finish();
+        let r = ArchiveReader::from_bytes(&bytes).unwrap();
+        for (t, s) in snaps.iter().enumerate() {
+            let recon: NdArray<f32> = r.read_full(&snapshot_name("u", t as u64)).unwrap();
+            let abs = ErrorBound::Rel(EPS).absolute(s);
+            assert_within_bound(s, &recon, abs, &format!("{bad} snapshot {t} (point {at})"));
+        }
+    }
 }
