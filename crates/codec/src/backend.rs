@@ -117,28 +117,6 @@ pub fn lossless_decompress_with(
     lzss_decompress_with(data, &mut scratch.lz, out)
 }
 
-/// Estimate, in bits, the entropy-coded size of a bin stream without
-/// actually encoding it. Used by the online tuner where only relative
-/// sizes matter: Shannon entropy of the empirical distribution plus a
-/// small per-symbol table cost.
-pub fn estimate_bins_bits(bins: &[u32]) -> f64 {
-    if bins.is_empty() {
-        return 0.0;
-    }
-    let mut freq = std::collections::HashMap::new();
-    for &b in bins {
-        *freq.entry(b).or_insert(0u64) += 1;
-    }
-    let n = bins.len() as f64;
-    let mut bits = 0.0;
-    for &c in freq.values() {
-        let p = c as f64 / n;
-        bits -= c as f64 * p.log2();
-    }
-    // Table overhead: ~5 bytes per distinct symbol.
-    bits + freq.len() as f64 * 40.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,23 +155,5 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(decode_bins(&blob[..cut]).is_err() || cut == 0);
         }
-    }
-
-    #[test]
-    fn entropy_estimate_tracks_actual() {
-        // Skewed stream: estimate within 2x of the real encoded size.
-        let mut bins = vec![100u32; 20_000];
-        for i in 0..2000 {
-            bins[i * 10] = 100 + (i % 50) as u32;
-        }
-        let est_bytes = estimate_bins_bits(&bins) / 8.0;
-        let actual = encode_bins(&bins).len() as f64;
-        // The estimate is an iid entropy model; LZSS additionally exploits
-        // ordering, so allow a generous band — the tuner only needs
-        // *relative* comparisons between candidate configurations.
-        assert!(
-            est_bytes < actual * 8.0 + 64.0 && actual < est_bytes * 8.0 + 64.0,
-            "estimate {est_bytes} vs actual {actual}"
-        );
     }
 }

@@ -16,6 +16,7 @@ use crate::bits::{BitReader, BitWriter};
 use crate::byteio::{ByteReader, ByteWriter};
 use crate::scratch::GrowCounter;
 use crate::{CodecError, Result};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
@@ -23,11 +24,51 @@ use std::collections::HashMap;
 pub const MAX_CODE_LEN: u32 = 32;
 
 /// Frequency-derived code lengths via the standard Huffman heap algorithm.
+///
+/// The heap holds `(weight, id)` pairs and pops the lightest first, ties
+/// going to the lower id: leaves take ids `0..n` in `freqs` order and
+/// each merged node the next free id. That order fixes the tree, and so
+/// the stream bytes. Nodes record only their parent (always a higher
+/// id), so one descending pass turns parents into depths.
 fn code_lengths(freqs: &[(u32, u64)]) -> Vec<(u32, u32)> {
     assert!(!freqs.is_empty());
     if freqs.len() == 1 {
         // A lone symbol still needs one bit so the bit count encodes the run
         // length unambiguously.
+        return vec![(freqs[0].0, 1)];
+    }
+    let n = freqs.len();
+    let root = 2 * n - 2;
+    let mut parent = vec![0usize; root + 1];
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = freqs
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, w))| Reverse((w.max(1), i)))
+        .collect();
+    for id in n..=root {
+        let Reverse((wa, a)) = heap.pop().expect("two nodes remain below the root");
+        let Reverse((wb, b)) = heap.pop().expect("two nodes remain below the root");
+        parent[a] = id;
+        parent[b] = id;
+        heap.push(Reverse((wa + wb, id)));
+    }
+    let mut depth = vec![0u32; root + 1];
+    for id in (0..root).rev() {
+        depth[id] = depth[parent[id]] + 1;
+    }
+    freqs
+        .iter()
+        .zip(depth)
+        .map(|(&(sym, _), d)| (sym, d))
+        .collect()
+}
+
+/// The boxed-tree construction [`code_lengths`] replaced, kept as the
+/// oracle its equivalence test compares against.
+#[cfg(test)]
+fn code_lengths_boxed(freqs: &[(u32, u64)]) -> Vec<(u32, u32)> {
+    assert!(!freqs.is_empty());
+    if freqs.len() == 1 {
         return vec![(freqs[0].0, 1)];
     }
 
@@ -123,17 +164,24 @@ fn canonical_codes_into(lengths: &mut [(u32, u32)], out: &mut Vec<(u32, u32, u64
     }
 }
 
-/// Widest symbol range for which the encoder keeps a directly-indexed
-/// table. Quantizer bins cluster near the radius (tens of thousands), so
-/// this covers every real workload; pathological sparse alphabets fall
-/// back to a hash map.
+/// Widest symbol span (`max - min`) for which the encoder keeps a
+/// directly-indexed table, beyond a slack proportional to the count.
+/// Quantizer bins cluster around the radius within a few thousand
+/// values, so this covers every real workload; pathological sparse
+/// alphabets fall back to a hash map.
 const DENSE_SYMBOL_SLACK: usize = 1 << 16;
 
-/// symbol -> (length, code) lookup, dense where the symbol range allows.
+/// `true` when symbols spanning `[min, max]` get dense tables for `count`
+/// symbols (or distinct symbols, for the code table).
+fn dense_span(min: u32, max: u32, count: usize) -> bool {
+    (max - min) as usize <= count.saturating_mul(16) + DENSE_SYMBOL_SLACK
+}
+
+/// symbol -> (length, code) lookup, dense where the symbol span allows.
 #[derive(Debug, Clone)]
 enum SymbolTable {
-    /// Indexed directly by symbol value; `length == 0` marks a hole.
-    Dense(Vec<(u32, u64)>),
+    /// Indexed by `symbol - base`; `length == 0` marks a hole.
+    Dense { base: u32, codes: Vec<(u32, u64)> },
     /// Fallback for sparse, wide alphabets.
     Sparse(HashMap<u32, (u32, u64)>),
 }
@@ -143,15 +191,17 @@ impl SymbolTable {
     /// recycled buffer (handed back via [`HuffmanEncoder::recycle`]). The
     /// table contents are identical to a freshly allocated build.
     fn build(coded: &[(u32, u32, u64)], scratch: &mut HuffmanScratch) -> SymbolTable {
-        let max = coded.iter().map(|&(s, _, _)| s).max().unwrap_or(0) as usize;
-        if max <= coded.len().saturating_mul(16) + DENSE_SYMBOL_SLACK {
-            let mut v = std::mem::take(&mut scratch.dense);
-            v.clear();
-            v.resize(max + 1, (0u32, 0u64));
+        let (min, max) = coded
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &(s, _, _)| (lo.min(s), hi.max(s)));
+        if dense_span(min, max, coded.len()) {
+            let mut codes = std::mem::take(&mut scratch.dense);
+            codes.clear();
+            codes.resize((max - min) as usize + 1, (0u32, 0u64));
             for &(sym, len, code) in coded {
-                v[sym as usize] = (len, code);
+                codes[(sym - min) as usize] = (len, code);
             }
-            SymbolTable::Dense(v)
+            SymbolTable::Dense { base: min, codes }
         } else {
             SymbolTable::Sparse(
                 coded
@@ -165,10 +215,12 @@ impl SymbolTable {
     #[inline]
     fn get(&self, sym: u32) -> Option<(u32, u64)> {
         match self {
-            SymbolTable::Dense(v) => match v.get(sym as usize) {
-                Some(&(len, code)) if len != 0 => Some((len, code)),
-                _ => None,
-            },
+            SymbolTable::Dense { base, codes } => {
+                match codes.get(sym.wrapping_sub(*base) as usize) {
+                    Some(&(len, code)) if len != 0 => Some((len, code)),
+                    _ => None,
+                }
+            }
             SymbolTable::Sparse(m) => m.get(&sym).copied(),
         }
     }
@@ -187,11 +239,12 @@ pub struct HuffmanEncoder {
 ///
 /// The encode side recycles the dense frequency-count table and — via
 /// [`HuffmanEncoder::recycle`] — the dense symbol→code table, both
-/// sized by the largest symbol (tens of thousands of entries for
-/// quantizer bins). The decode side ([`HuffmanDecoder::decode_with`])
-/// recycles the serialized-table staging, the canonical symbol list and
-/// the 2^11-entry primary lookup table. Recycling never changes bytes
-/// or decoded values; the golden-bitstream tests pin this.
+/// sized by the symbols' span `max - min + 1` (about a thousand entries
+/// for quantizer bins, which cluster around the radius). The decode
+/// side ([`HuffmanDecoder::decode_with`]) recycles the serialized-table
+/// staging, the canonical symbol list and the 2^11-entry primary lookup
+/// table. Recycling never changes bytes or decoded values; the
+/// golden-bitstream tests pin this.
 #[derive(Debug, Default)]
 pub struct HuffmanScratch {
     counts: Vec<u64>,
@@ -230,26 +283,26 @@ impl HuffmanEncoder {
 
     /// [`HuffmanEncoder::from_symbols`] with a recycled counting buffer.
     pub fn from_symbols_with(symbols: &[u32], scratch: &mut HuffmanScratch) -> Option<Self> {
-        if symbols.is_empty() {
-            return None;
-        }
-        // Frequency counting: dense array when the symbol range is
-        // moderate (the common quantizer-bin case), hash map otherwise.
+        let (&first, rest) = symbols.split_first()?;
+        let (min, max) = rest
+            .iter()
+            .fold((first, first), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        // Frequency counting: dense array over [min, max] when that span
+        // is moderate (the common quantizer-bin case), hash map otherwise.
         // Both paths yield the same symbol-sorted frequency list.
-        let max = symbols.iter().copied().max().unwrap() as usize;
         let mut freqs: Vec<(u32, u64)>;
-        if max <= symbols.len().saturating_mul(16) + DENSE_SYMBOL_SLACK {
+        if dense_span(min, max, symbols.len()) {
             let counts = &mut scratch.counts;
             counts.clear();
-            counts.resize(max + 1, 0);
+            counts.resize((max - min) as usize + 1, 0);
             for &s in symbols {
-                counts[s as usize] += 1;
+                counts[(s - min) as usize] += 1;
             }
             freqs = counts
                 .iter()
                 .enumerate()
                 .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (s as u32, c))
+                .map(|(i, &c)| (min + i as u32, c))
                 .collect();
         } else {
             let mut freq: HashMap<u32, u64> = HashMap::new();
@@ -279,8 +332,8 @@ impl HuffmanEncoder {
     /// the next [`HuffmanEncoder::from_symbols_with`] build reuses its
     /// allocation instead of allocating a fresh table.
     pub fn recycle(self, scratch: &mut HuffmanScratch) {
-        if let SymbolTable::Dense(v) = self.table {
-            scratch.dense = v;
+        if let SymbolTable::Dense { codes, .. } = self.table {
+            scratch.dense = codes;
         }
     }
 
@@ -324,10 +377,13 @@ impl HuffmanEncoder {
         }
         let mut bits = BitWriter::from_vec(std::mem::take(bit_buf));
         match &self.table {
-            SymbolTable::Dense(v) => {
+            SymbolTable::Dense { base, codes } => {
                 for &s in symbols {
-                    let (len, code) = v[s as usize];
-                    assert!(len != 0, "symbol not present in Huffman table");
+                    let (len, code) = codes
+                        .get(s.wrapping_sub(*base) as usize)
+                        .copied()
+                        .filter(|&(len, _)| len != 0)
+                        .expect("symbol not present in Huffman table");
                     bits.put_bits(code, len);
                 }
             }
@@ -468,6 +524,13 @@ impl HuffmanDecoder {
             }
             scratch.entries.push((sym, len));
         }
+        let n_symbols = reader.get_varint()? as usize;
+        let payload = reader.get_len_prefixed()?;
+        // Every code is at least one bit long, so a count the payload
+        // cannot hold is a lie; refuse it before it sizes `out`.
+        if n_symbols > payload.len().saturating_mul(8) {
+            return Err(CodecError::Corrupt("Huffman symbol count exceeds payload"));
+        }
         scratch.grows.check(scratch.coded.capacity(), n_entries);
         scratch.grows.check(scratch.symbols.capacity(), n_entries);
         scratch
@@ -482,13 +545,10 @@ impl HuffmanDecoder {
         );
         scratch.coded = coded;
         let decoder = decoder?;
-        let n_symbols = reader.get_varint()? as usize;
-        let payload = reader.get_len_prefixed()?;
         let mut bits = BitReader::new(payload);
-        let cap = n_symbols.min(1 << 28);
-        scratch.grows.check(out.capacity(), cap);
+        scratch.grows.check(out.capacity(), n_symbols);
         out.clear();
-        out.reserve(cap);
+        out.reserve(n_symbols);
         let mut res = Ok(());
         for _ in 0..n_symbols {
             match decoder.decode_one(&mut bits) {
@@ -760,5 +820,124 @@ mod tests {
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert!(HuffmanDecoder::decode(&mut r).is_err());
+    }
+
+    /// Fibonacci weights build the deepest possible tree: 40 of them
+    /// give codes far past MAX_CODE_LEN.
+    fn fibonacci_freqs(n: usize) -> Vec<(u32, u64)> {
+        let (mut a, mut b) = (1u64, 1u64);
+        (0..n as u32)
+            .map(|s| {
+                let w = a;
+                (a, b) = (b, a + b);
+                (s * 5 + 2, w)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The index heap pops `(weight, id)` in the boxed tree's order,
+        /// so every code length agrees, ties included.
+        #[test]
+        fn index_heap_lengths_match_boxed_tree(
+            weights in proptest::collection::vec(
+                proptest::prop_oneof![
+                    3 => 1u64..4,
+                    2 => 1u64..1_000_000,
+                    1 => proptest::prelude::Just(0u64),
+                ],
+                1..400,
+            )
+        ) {
+            let freqs: Vec<(u32, u64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (i as u32 * 3 + 1, w))
+                .collect();
+            proptest::prop_assert_eq!(code_lengths(&freqs), code_lengths_boxed(&freqs));
+        }
+    }
+
+    /// The flattening loop of `from_symbols_with` feeds `code_lengths`
+    /// halved tables until every code fits: both constructions agree at
+    /// every step, and the loop ends within MAX_CODE_LEN.
+    #[test]
+    fn index_heap_matches_boxed_tree_through_flattening() {
+        let mut freqs = fibonacci_freqs(40);
+        let mut rounds = 0;
+        loop {
+            let lengths = code_lengths(&freqs);
+            assert_eq!(lengths, code_lengths_boxed(&freqs), "round {rounds}");
+            if lengths.iter().all(|&(_, l)| l <= MAX_CODE_LEN) {
+                break;
+            }
+            for f in freqs.iter_mut() {
+                f.1 = (f.1 / 2).max(1);
+            }
+            rounds += 1;
+        }
+        assert!(rounds > 0, "the table must exercise the flattening path");
+    }
+
+    /// `encode_bins` round trip, and the symbol table the encoder chose.
+    fn bins_roundtrip(bins: &[u32]) -> bool {
+        let blob = crate::backend::encode_bins(bins);
+        assert_eq!(crate::backend::decode_bins(&blob).unwrap(), bins);
+        let enc = HuffmanEncoder::from_symbols(bins).unwrap();
+        matches!(enc.table, SymbolTable::Dense { .. })
+    }
+
+    #[test]
+    fn bins_roundtrip_at_the_edges_of_the_symbol_table() {
+        // Symbols near u32::MAX span a few values: dense, offset by min.
+        let top: Vec<u32> = (0..300u32).map(|i| u32::MAX - (i * i) % 7).collect();
+        assert!(bins_roundtrip(&top));
+        // One distinct symbol, at either end of the range.
+        assert!(bins_roundtrip(&[u32::MAX; 50]));
+        assert!(bins_roundtrip(&[0; 50]));
+        // A span of exactly 16 per symbol plus the slack stays dense; one
+        // more takes the hash map.
+        let n = 64u32;
+        let edge = n * 16 + DENSE_SYMBOL_SLACK as u32;
+        let base = 1_000_000u32;
+        let mut at: Vec<u32> = (0..n).map(|i| base + i).collect();
+        at[n as usize - 1] = base + edge;
+        assert!(bins_roundtrip(&at));
+        at[n as usize - 1] += 1;
+        assert!(!bins_roundtrip(&at));
+        // A wide sparse alphabet, zero to u32::MAX: the hash-map path.
+        let sparse: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
+        assert!(!bins_roundtrip(&sparse));
+    }
+
+    #[test]
+    fn symbol_count_past_the_payload_is_refused_before_allocating() {
+        // One-entry table, then 2^28 symbols claimed over an empty payload.
+        let mut w = ByteWriter::new();
+        w.put_varint(1);
+        w.put_varint(7);
+        w.put_u8(1);
+        w.put_varint(1 << 28);
+        w.put_len_prefixed(&[]);
+        let buf = w.finish();
+        let mut out = Vec::new();
+        let err = HuffmanDecoder::decode_with(
+            &mut ByteReader::new(&buf),
+            &mut HuffmanScratch::new(),
+            &mut out,
+        );
+        assert!(matches!(err, Err(CodecError::Corrupt(_))), "{err:?}");
+        assert!(out.capacity() < 1024, "reserved {} symbols", out.capacity());
+        // Eight symbols per payload byte is the most a valid stream holds.
+        let enc = HuffmanEncoder::from_symbols(&[3; 64]).unwrap();
+        let mut w = ByteWriter::new();
+        enc.encode(&[3; 64], &mut w);
+        let buf = w.finish();
+        assert_eq!(
+            HuffmanDecoder::decode(&mut ByteReader::new(&buf)).unwrap(),
+            [3; 64]
+        );
     }
 }

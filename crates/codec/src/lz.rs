@@ -34,8 +34,8 @@ fn hash4(data: &[u8]) -> usize {
 
 /// Reusable working memory for [`lzss_compress_with`].
 ///
-/// The match finder allocates two large chain tables (`head` is 2^15
-/// entries, `prev` 2^16) plus flag/literal/match staging on every call;
+/// The match finder allocates two chain tables (`head` is 2^15 entries,
+/// `prev` up to 2^16) plus flag/literal/match staging on every call;
 /// for repeated compression of similar-sized inputs these dominate the
 /// allocator traffic of the lossless stage. A scratch keeps them alive
 /// across calls — buffers are cleared, capacity is retained. The decode
@@ -88,10 +88,16 @@ pub fn lzss_compress_with(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u
     let matches = &mut scratch.matches;
 
     // head[h] = most recent position with hash h; prev[i % WINDOW] = chain.
+    // `prev` is read only at positions already inserted for this input
+    // (a chain stops before an entry could have been overwritten by a
+    // position a window later), so it needs min(n, WINDOW) entries and
+    // no reset: stale entries from earlier calls are never read.
     scratch.head.clear();
     scratch.head.resize(HASH_SIZE, usize::MAX);
-    scratch.prev.clear();
-    scratch.prev.resize(WINDOW, usize::MAX);
+    let need = input.len().min(WINDOW);
+    if scratch.prev.len() < need {
+        scratch.prev.resize(need, usize::MAX);
+    }
     let head = &mut scratch.head;
     let prev = &mut scratch.prev;
 
@@ -192,6 +198,15 @@ pub fn lzss_decompress_with(
     let n_matches = r.get_varint()? as usize;
     if n_matches > input.len() {
         return Err(CodecError::Corrupt("implausible match count"));
+    }
+    // Every flag bit yields one literal or one match of at most
+    // MAX_MATCH bytes, so a claimed length past that is a lie; refuse it
+    // before `total` sizes an allocation.
+    let most = literals
+        .len()
+        .saturating_add(n_matches.saturating_mul(MAX_MATCH));
+    if total > most {
+        return Err(CodecError::Corrupt("length exceeds literals and matches"));
     }
     scratch.grows.check(scratch.matches.capacity(), n_matches);
     scratch.matches.clear();
@@ -330,5 +345,67 @@ mod tests {
         w.put_u8(0);
         let buf = w.finish();
         assert!(lzss_decompress(&buf).is_err());
+    }
+
+    /// Bytes from a four-letter alphabet with a drifting period: long
+    /// hash chains and matches at every distance up to the window.
+    fn chained_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x2545_F491u32;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                if x % 8 == 0 {
+                    b'a' + (x >> 8) as u8 % 4
+                } else {
+                    b'a' + (i % 7 + i / 4096) as u8 % 4
+                }
+            })
+            .collect()
+    }
+
+    /// One arena across every length, longest first, so each shorter
+    /// input runs over `prev` entries a longer one left behind: the
+    /// bytes must equal a fresh arena's and decode to the input.
+    #[test]
+    fn roundtrip_around_the_window_with_a_reused_arena() {
+        let mut scratch = LzScratch::new();
+        let mut out = Vec::new();
+        for n in [
+            3 * WINDOW,
+            WINDOW + 1,
+            WINDOW,
+            WINDOW - 1,
+            4,
+            3,
+            1,
+            3 * WINDOW,
+        ] {
+            let data = chained_bytes(n);
+            lzss_compress_with(&data, &mut scratch, &mut out);
+            assert_eq!(out, lzss_compress(&data), "length {n}");
+            assert_eq!(lzss_decompress(&out).unwrap(), data, "length {n}");
+        }
+    }
+
+    #[test]
+    fn claimed_length_past_the_matches_is_refused_before_allocating() {
+        // 2^34 bytes claimed (the plausibility cap) from no flags, no
+        // literals and no matches.
+        let mut w = ByteWriter::new();
+        w.put_varint(1 << 34);
+        w.put_len_prefixed(&[]);
+        w.put_len_prefixed(&[]);
+        w.put_varint(0);
+        let buf = w.finish();
+        let mut out = Vec::new();
+        let err = lzss_decompress_with(&buf, &mut LzScratch::new(), &mut out);
+        assert!(matches!(err, Err(CodecError::Corrupt(_))), "{err:?}");
+        assert!(out.capacity() < 1024, "reserved {} bytes", out.capacity());
+        // A run that really expands to the bound still decodes: one
+        // literal then matches of MAX_MATCH bytes each.
+        let data = vec![b'z'; 1 + 3 * MAX_MATCH];
+        assert_eq!(lzss_decompress(&lzss_compress(&data)).unwrap(), data);
     }
 }

@@ -1,23 +1,28 @@
 //! Online tuning: level-wise interpolator selection (Algorithm 1) and
 //! quality-metric-driven `(alpha, beta)` auto-tuning (§VI-C, Table I).
 //!
-//! All tuning runs on the uniformly sampled blocks only, so its cost is a
-//! small fraction of the full compression pass. Trial compressions reuse
-//! the shared engine; bit-rates are estimated with the entropy model
-//! (`estimated_bits`) because only *relative* comparisons between
-//! candidates matter.
+//! All tuning runs on the uniformly sampled blocks only. An `(alpha,
+//! beta)` trial really compresses: the shared engine runs over every
+//! sampled block and the concatenated bins go through the same
+//! Huffman + LZSS backend a stream uses, so the bit-rate each Table-I
+//! comparison sees is an exact coded size, and a change to any byte of
+//! that backend can flip a tuner decision (the golden bitstream pins see
+//! it). A trial is a deterministic function of its level-bound vector,
+//! so one [`autotune_params`] call runs each distinct vector once and
+//! stages every trial in one reused arena.
 
 use crate::config::level_error_bounds;
-use qoz_codec::LinearQuantizer;
+use qoz_codec::{LinearQuantizer, Scratch};
 use qoz_metrics::{autocorr, ssim, QualityMetric};
 use qoz_predict::{base_point_count, traverse_level, LevelConfig};
-use qoz_sz3::{compress_with_spec, InterpSpec};
+use qoz_sz3::{compress_with_spec_into, InterpSpec};
 use qoz_tensor::{NdArray, Scalar};
 
 /// One trial compression outcome on the sampled blocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialResult {
-    /// Estimated bits per data point.
+    /// Coded bits per data point: the entropy-coded bins plus the raw
+    /// unpredictable and anchor bytes.
     pub bits_per_point: f64,
     /// Metric score in larger-is-better orientation.
     pub metric: f64,
@@ -122,82 +127,140 @@ pub fn aggregate_metric<T: Scalar>(
     recons: &[NdArray<T>],
     global_range: f64,
 ) -> f64 {
-    match metric {
-        QualityMetric::CompressionRatio => 0.0,
-        QualityMetric::Psnr => {
-            let mut se = 0.0f64;
-            let mut n = 0usize;
-            for (b, r) in blocks.iter().zip(recons) {
-                se += qoz_metrics::mse(b, r) * b.len() as f64;
-                n += b.len();
+    let mut sum = MetricSum::default();
+    for (b, r) in blocks.iter().zip(recons) {
+        sum.add(metric, b, r);
+    }
+    sum.finish(metric, global_range)
+}
+
+/// The running sum behind [`aggregate_metric`], fed one block at a time
+/// so a trial can score each reconstruction while it is in the arena.
+/// Blocks are weighted by their length and summed in the order given.
+#[derive(Default)]
+struct MetricSum {
+    acc: f64,
+    n: usize,
+}
+
+impl MetricSum {
+    fn add<T: Scalar>(&mut self, metric: QualityMetric, block: &NdArray<T>, recon: &NdArray<T>) {
+        let per_point = match metric {
+            QualityMetric::CompressionRatio => return,
+            QualityMetric::Psnr => qoz_metrics::mse(block, recon),
+            QualityMetric::Ssim => ssim(block, recon),
+            QualityMetric::AutoCorrelation => {
+                autocorr::error_autocorrelation(block, recon, 1).abs()
             }
-            let mse = se / n.max(1) as f64;
-            if mse == 0.0 || global_range == 0.0 {
-                f64::INFINITY
-            } else {
-                20.0 * (global_range / mse.sqrt()).log10()
+        };
+        self.acc += per_point * block.len() as f64;
+        self.n += block.len();
+    }
+
+    fn finish(self, metric: QualityMetric, global_range: f64) -> f64 {
+        let mean = self.acc / self.n.max(1) as f64;
+        match metric {
+            QualityMetric::CompressionRatio => 0.0,
+            QualityMetric::Psnr => {
+                if mean == 0.0 || global_range == 0.0 {
+                    f64::INFINITY
+                } else {
+                    20.0 * (global_range / mean.sqrt()).log10()
+                }
             }
-        }
-        QualityMetric::Ssim => {
-            let mut acc = 0.0f64;
-            let mut n = 0usize;
-            for (b, r) in blocks.iter().zip(recons) {
-                acc += ssim(b, r) * b.len() as f64;
-                n += b.len();
-            }
-            acc / n.max(1) as f64
-        }
-        QualityMetric::AutoCorrelation => {
-            let mut acc = 0.0f64;
-            let mut n = 0usize;
-            for (b, r) in blocks.iter().zip(recons) {
-                acc += autocorr::error_autocorrelation(b, r, 1).abs() * b.len() as f64;
-                n += b.len();
-            }
-            -(acc / n.max(1) as f64)
+            QualityMetric::Ssim => mean,
+            QualityMetric::AutoCorrelation => -mean,
         }
     }
 }
 
-/// Run one `(alpha, beta)` trial over the sampled blocks at error bound
-/// `abs_eb * eb_scale`.
-fn run_trial<T: Scalar>(
-    blocks: &[NdArray<T>],
+/// The `(alpha, beta)` trials of one tuning call: the sampled blocks and
+/// settings they share, one arena they all stage in, and the outcomes
+/// already run.
+struct Trials<'a, T: Scalar> {
+    blocks: &'a [NdArray<T>],
     abs_eb: f64,
-    eb_scale: f64,
-    alpha: f64,
-    beta: f64,
-    level_configs: &[LevelConfig],
+    level_configs: &'a [LevelConfig],
     block_levels: u32,
     metric: QualityMetric,
     global_range: f64,
-) -> TrialResult {
-    let e = abs_eb * eb_scale;
-    let ebs = level_error_bounds(e, alpha, beta, block_levels);
-    let mut all_bins: Vec<u32> = Vec::new();
-    let mut side_bytes = 0usize;
-    let mut points = 0usize;
-    let mut recons = Vec::with_capacity(blocks.len());
-    for block in blocks {
+    scratch: Scratch<T>,
+    /// Every block's bins of the current trial, concatenated.
+    bins: Vec<u32>,
+    /// Outcomes keyed on the bit patterns of their level bounds, which
+    /// determine a trial completely; a probe's shifted bound enters
+    /// through them.
+    done: Vec<(Vec<u64>, TrialResult)>,
+}
+
+impl<'a, T: Scalar> Trials<'a, T> {
+    fn new(
+        blocks: &'a [NdArray<T>],
+        abs_eb: f64,
+        level_configs: &'a [LevelConfig],
+        block_levels: u32,
+        metric: QualityMetric,
+        global_range: f64,
+    ) -> Self {
+        Trials {
+            blocks,
+            abs_eb,
+            level_configs,
+            block_levels,
+            metric,
+            global_range,
+            scratch: Scratch::new(),
+            bins: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+
+    /// The outcome of `(alpha, beta)` at error bound `abs_eb * eb_scale`,
+    /// run only if no earlier trial of this call had the same level
+    /// bounds.
+    fn get(&mut self, alpha: f64, beta: f64, eb_scale: f64) -> TrialResult {
+        let ebs = level_error_bounds(self.abs_eb * eb_scale, alpha, beta, self.block_levels);
+        let key: Vec<u64> = ebs.iter().map(|e| e.to_bits()).collect();
+        if let Some(&(_, res)) = self.done.iter().find(|(k, _)| *k == key) {
+            return res;
+        }
+        let res = self.run(ebs);
+        self.done.push((key, res));
+        res
+    }
+
+    /// Compress every sampled block at `level_ebs`, then entropy-code the
+    /// concatenated bins.
+    fn run(&mut self, level_ebs: Vec<f64>) -> TrialResult {
         let spec = InterpSpec {
-            anchor_stride: Some(1u32 << block_levels),
-            max_level: block_levels,
-            level_configs: level_configs[..block_levels as usize].to_vec(),
-            level_ebs: ebs.clone(),
+            anchor_stride: Some(1u32 << self.block_levels),
+            max_level: self.block_levels,
+            level_configs: self.level_configs[..self.block_levels as usize].to_vec(),
+            level_ebs,
             quant_radius: LinearQuantizer::DEFAULT_RADIUS,
         };
-        let out = compress_with_spec(block, &spec);
-        all_bins.extend_from_slice(&out.bins);
-        side_bytes += out.unpred.len() + out.anchors.len();
-        points += block.len();
-        recons.push(out.recon);
-    }
-    // Paper §VI-A: prediction runs per block, but the entropy stage is
-    // applied to the *aggregated* bins for an accurate bit-rate estimate.
-    let bins_bits = qoz_codec::encode_bins(&all_bins).len() as f64 * 8.0;
-    TrialResult {
-        bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
-        metric: aggregate_metric(metric, blocks, &recons, global_range),
+        let s = &mut self.scratch;
+        self.bins.clear();
+        let mut side_bytes = 0usize;
+        let mut points = 0usize;
+        let mut metric = MetricSum::default();
+        for block in self.blocks {
+            compress_with_spec_into(block, &spec, s);
+            self.bins.extend_from_slice(&s.bins);
+            side_bytes += s.unpred.len() + s.anchors.len();
+            points += block.len();
+            let recon = NdArray::from_vec(block.shape(), std::mem::take(&mut s.work));
+            metric.add(self.metric, block, &recon);
+            s.work = recon.into_vec();
+        }
+        // Paper §VI-A: prediction runs per block, but the entropy stage is
+        // applied to the *aggregated* bins for an accurate bit-rate estimate.
+        qoz_codec::encode_bins_with(&self.bins, &mut s.entropy, &mut s.section);
+        let bins_bits = s.section.len() as f64 * 8.0;
+        TrialResult {
+            bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
+            metric: metric.finish(self.metric, self.global_range),
+        }
     }
 }
 
@@ -242,7 +305,9 @@ pub fn solution_ii_better(
 ///
 /// Traverses the candidate grid, comparing each candidate against the
 /// incumbent with the Table-I logic; sophisticated cases run one extra
-/// sampled trial at a shifted error bound.
+/// sampled trial at a shifted error bound. Candidates (or probes) whose
+/// level bounds equal an earlier trial's reuse its outcome: at the
+/// default grid's 4 block levels only 13 of 17 candidates differ.
 #[allow(clippy::too_many_arguments)]
 pub fn autotune_params<T: Scalar>(
     blocks: &[NdArray<T>],
@@ -253,28 +318,29 @@ pub fn autotune_params<T: Scalar>(
     global_range: f64,
     candidates: &[(f64, f64)],
 ) -> (f64, f64) {
+    let mut trials = Trials::new(
+        blocks,
+        abs_eb,
+        level_configs,
+        block_levels,
+        metric,
+        global_range,
+    );
+    walk(&mut trials, candidates)
+}
+
+/// The Table-I walk over `candidates`, first to last.
+fn walk<T: Scalar>(trials: &mut Trials<'_, T>, candidates: &[(f64, f64)]) -> (f64, f64) {
     assert!(!candidates.is_empty());
-    if blocks.is_empty() {
+    if trials.blocks.is_empty() {
         return candidates[0];
     }
-    let trial = |alpha: f64, beta: f64, scale: f64| {
-        run_trial(
-            blocks,
-            abs_eb,
-            scale,
-            alpha,
-            beta,
-            level_configs,
-            block_levels,
-            metric,
-            global_range,
-        )
-    };
+    let metric = trials.metric;
     let mut best = candidates[0];
-    let mut best_res = trial(best.0, best.1, 1.0);
+    let mut best_res = trials.get(best.0, best.1, 1.0);
     for &(a, b) in &candidates[1..] {
-        let res = trial(a, b, 1.0);
-        if solution_ii_better(metric, best_res, res, |scale| trial(a, b, scale)) {
+        let res = trials.get(a, b, 1.0);
+        if solution_ii_better(metric, best_res, res, |scale| trials.get(a, b, scale)) {
             best = (a, b);
             best_res = res;
         }
@@ -283,7 +349,7 @@ pub fn autotune_params<T: Scalar>(
 }
 
 /// Debug/benchmark helper: evaluate every candidate and return the full
-/// trial table alongside the winner (used by the Fig. 13 harness).
+/// trial table alongside the winner.
 #[allow(clippy::too_many_arguments)]
 pub fn autotune_with_table<T: Scalar>(
     blocks: &[NdArray<T>],
@@ -294,34 +360,19 @@ pub fn autotune_with_table<T: Scalar>(
     global_range: f64,
     candidates: &[(f64, f64)],
 ) -> ((f64, f64), TrialTable) {
-    let table: TrialTable = candidates
-        .iter()
-        .map(|&(a, b)| {
-            (
-                (a, b),
-                run_trial(
-                    blocks,
-                    abs_eb,
-                    1.0,
-                    a,
-                    b,
-                    level_configs,
-                    block_levels,
-                    metric,
-                    global_range,
-                ),
-            )
-        })
-        .collect();
-    let winner = autotune_params(
+    let mut trials = Trials::new(
         blocks,
         abs_eb,
         level_configs,
         block_levels,
         metric,
         global_range,
-        candidates,
     );
+    let winner = walk(&mut trials, candidates);
+    let table = candidates
+        .iter()
+        .map(|&(a, b)| ((a, b), trials.get(a, b, 1.0)))
+        .collect();
     (winner, table)
 }
 
@@ -335,8 +386,10 @@ pub fn block_anchor_check<T: Scalar>(block: &NdArray<T>, levels: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::QozConfig;
+    use qoz_datagen::{Dataset, SizeClass};
     use qoz_predict::InterpKind;
-    use qoz_tensor::Shape;
+    use qoz_tensor::{sample_blocks, SamplePlan, Shape};
 
     fn smooth_blocks() -> Vec<NdArray<f64>> {
         (0..4)
@@ -488,5 +541,174 @@ mod tests {
     fn block_anchor_counts() {
         let b = NdArray::<f32>::zeros(Shape::d2(17, 17));
         assert_eq!(block_anchor_check(&b, 4), 4);
+    }
+
+    /// What `Qoz::plan` hands the tuner for `data` at `Rel(1e-3)`.
+    struct Setup<T: Scalar> {
+        blocks: Vec<NdArray<T>>,
+        abs_eb: f64,
+        configs: Vec<LevelConfig>,
+        levels: u32,
+        metric: QualityMetric,
+        range: f64,
+    }
+
+    impl<T: Scalar> Setup<T> {
+        fn new(data: &NdArray<T>, metric: QualityMetric) -> Self {
+            let cfg = QozConfig::for_metric(metric);
+            let shape = data.shape();
+            let anchor = cfg.effective_anchor_stride(shape);
+            let block = cfg.effective_sample_block(shape);
+            let plan = SamplePlan::from_rate(shape, block, cfg.effective_sample_rate(shape));
+            let blocks = sample_blocks(data, &plan);
+            let levels = (block.min(anchor as usize) as u32).trailing_zeros();
+            let abs_eb = 1e-3 * data.value_range();
+            let configs = select_level_interps(&blocks, abs_eb, levels, levels);
+            Setup {
+                blocks,
+                abs_eb,
+                configs,
+                levels,
+                metric,
+                range: data.value_range(),
+            }
+        }
+
+        fn trials(&self) -> Trials<'_, T> {
+            Trials::new(
+                &self.blocks,
+                self.abs_eb,
+                &self.configs,
+                self.levels,
+                self.metric,
+                self.range,
+            )
+        }
+
+        /// One trial as the tuner ran it before trials were shared: each
+        /// block in a fresh arena, the bins through the allocating
+        /// backend, the metric from the collected reconstructions.
+        fn fresh_trial(&self, alpha: f64, beta: f64, eb_scale: f64) -> TrialResult {
+            let ebs = level_error_bounds(self.abs_eb * eb_scale, alpha, beta, self.levels);
+            let mut all_bins: Vec<u32> = Vec::new();
+            let mut side_bytes = 0usize;
+            let mut points = 0usize;
+            let mut recons = Vec::new();
+            for block in &self.blocks {
+                let spec = InterpSpec {
+                    anchor_stride: Some(1u32 << self.levels),
+                    max_level: self.levels,
+                    level_configs: self.configs.clone(),
+                    level_ebs: ebs.clone(),
+                    quant_radius: LinearQuantizer::DEFAULT_RADIUS,
+                };
+                let out = qoz_sz3::compress_with_spec(block, &spec);
+                all_bins.extend_from_slice(&out.bins);
+                side_bytes += out.unpred.len() + out.anchors.len();
+                points += block.len();
+                recons.push(out.recon);
+            }
+            let bins_bits = qoz_codec::encode_bins(&all_bins).len() as f64 * 8.0;
+            TrialResult {
+                bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
+                metric: aggregate_metric(self.metric, &self.blocks, &recons, self.range),
+            }
+        }
+
+        /// The plain per-candidate walk: every trial runs, duplicates
+        /// included. Returns the winner and the number of trials run.
+        fn oracle(&self, candidates: &[(f64, f64)]) -> ((f64, f64), usize) {
+            let mut runs = 0;
+            let mut trial = |a: f64, b: f64, scale: f64| {
+                runs += 1;
+                self.fresh_trial(a, b, scale)
+            };
+            let mut best = candidates[0];
+            let mut best_res = trial(best.0, best.1, 1.0);
+            for &(a, b) in &candidates[1..] {
+                let res = trial(a, b, 1.0);
+                if solution_ii_better(self.metric, best_res, res, |scale| trial(a, b, scale)) {
+                    best = (a, b);
+                    best_res = res;
+                }
+            }
+            (best, runs)
+        }
+    }
+
+    const METRICS: [QualityMetric; 4] = [
+        QualityMetric::CompressionRatio,
+        QualityMetric::Psnr,
+        QualityMetric::Ssim,
+        QualityMetric::AutoCorrelation,
+    ];
+
+    /// Shared trials pick the oracle's `(alpha, beta)` with bit-identical
+    /// outcomes, and skip at least the grid's duplicate level bounds.
+    fn check_against_oracle<T: Scalar>(data: &NdArray<T>, grid_duplicates: usize) {
+        let cands = QozConfig::default().param_candidates();
+        for metric in METRICS {
+            let setup = Setup::new(data, metric);
+            let (want, oracle_runs) = setup.oracle(&cands);
+            let mut trials = setup.trials();
+            assert_eq!(walk(&mut trials, &cands), want, "{metric:?}");
+            assert!(
+                trials.done.len() + grid_duplicates <= oracle_runs,
+                "{metric:?}: {} of {oracle_runs} trials run",
+                trials.done.len()
+            );
+            for &(a, b) in &cands {
+                let (got, fresh) = (trials.get(a, b, 1.0), setup.fresh_trial(a, b, 1.0));
+                assert_eq!(
+                    (got.bits_per_point.to_bits(), got.metric.to_bits()),
+                    (fresh.bits_per_point.to_bits(), fresh.metric.to_bits()),
+                    "{metric:?} ({a}, {b})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shared_trials_pick_the_oracles_params_in_2d() {
+        let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
+        let wide = NdArray::from_vec(
+            data.shape(),
+            data.as_slice().iter().map(|&v| f64::from(v)).collect(),
+        );
+        check_against_oracle(&data, 2);
+        check_against_oracle(&wide, 2);
+    }
+
+    #[test]
+    fn shared_trials_pick_the_oracles_params_in_3d() {
+        let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
+        let wide = NdArray::from_vec(
+            data.shape(),
+            data.as_slice().iter().map(|&v| f64::from(v)).collect(),
+        );
+        check_against_oracle(&data, 4);
+        check_against_oracle(&wide, 4);
+    }
+
+    #[test]
+    fn default_grid_collapses_to_distinct_level_bounds() {
+        // CR mode runs no probes, so the walk runs exactly one trial per
+        // distinct level-bound vector of the 17-candidate grid.
+        let cands = QozConfig::default().param_candidates();
+        assert_eq!(cands.len(), 17);
+        let blocks = smooth_blocks();
+        let configs = vec![LevelConfig::default(); 6];
+        for (levels, distinct) in [(4, 13), (6, 15)] {
+            let mut trials = Trials::new(
+                &blocks,
+                1e-3,
+                &configs,
+                levels,
+                QualityMetric::CompressionRatio,
+                2.0,
+            );
+            walk(&mut trials, &cands);
+            assert_eq!(trials.done.len(), distinct, "{levels} levels");
+        }
     }
 }

@@ -293,8 +293,10 @@ fn corrupt_frames_earn_typed_errors_and_daemon_stays_up() {
 fn crafted_stream_shapes_earn_corrupt_input_and_daemon_stays_up() {
     // Decompress requests whose stream header declares more than any
     // payload fills: 4096^4 elements (over the shape cap), and
-    // 16 x 2^16 x 2^16 (exactly at it) over an empty QoZ body. Neither
-    // may size an allocation; both answer CorruptInput.
+    // 16 x 2^16 x 2^16 (exactly at it) over an empty QoZ body. Then two
+    // 16^3 streams whose bin section lies instead: its LZSS layer claims
+    // 2^34 bytes, or its Huffman layer 2^28 symbols, from empty
+    // sections. None may size an allocation; all answer CorruptInput.
     let header = |dims: &[u64]| {
         let mut w = qoz_codec::ByteWriter::new();
         w.put_bytes(&qoz_codec::stream::MAGIC);
@@ -315,10 +317,39 @@ fn crafted_stream_shapes_earn_corrupt_input_and_daemon_stays_up() {
     at_cap.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
     at_cap.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
     let at_cap = at_cap.finish();
+    let with_bins = |bins: &[u8]| {
+        let mut w = header(&[16, 16, 16]);
+        qoz_sz3::InterpSpec::anchored(32, 1e-3, Default::default()).write(&mut w);
+        w.put_len_prefixed(bins);
+        w.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
+        w.put_len_prefixed(&qoz_codec::lossless_compress(&[]));
+        w.finish()
+    };
+    // Bin sections in the `encode_bins` layout: tag 1, then the packed
+    // Huffman stream.
+    let mut lz = qoz_codec::ByteWriter::new();
+    lz.put_varint(1 << 34);
+    lz.put_len_prefixed(&[]);
+    lz.put_len_prefixed(&[]);
+    lz.put_varint(0);
+    let mut lzss_bomb = qoz_codec::ByteWriter::new();
+    lzss_bomb.put_u8(1);
+    lzss_bomb.put_len_prefixed(&lz.finish());
+    let lzss_bomb = with_bins(&lzss_bomb.finish());
+    let mut huff = qoz_codec::ByteWriter::new();
+    huff.put_varint(1);
+    huff.put_varint(7);
+    huff.put_u8(1);
+    huff.put_varint(1 << 28);
+    huff.put_len_prefixed(&[]);
+    let mut huffman_bomb = qoz_codec::ByteWriter::new();
+    huffman_bomb.put_u8(1);
+    huffman_bomb.put_len_prefixed(&qoz_codec::lossless_compress(&huff.finish()));
+    let huffman_bomb = with_bins(&huffman_bomb.finish());
 
     let server = Server::start(ServerConfig::new(unix_ep("shape"))).unwrap();
     let mut client = quick_client(server.endpoint());
-    for blob in [over_cap, at_cap] {
+    for blob in [over_cap, at_cap, lzss_bomb, huffman_bomb] {
         let req = Request::Decompress { budget_ms: 0, blob };
         match client.call_once(&req).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::CorruptInput),

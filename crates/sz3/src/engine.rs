@@ -52,14 +52,6 @@ impl<T: Scalar> CompressOutput<T> {
             self.sum_abs_pred_err / self.pred_count as f64
         }
     }
-
-    /// Estimated compressed payload size in bits (entropy model for the
-    /// bins plus raw side streams). Used by the QoZ tuner to compare
-    /// candidate parameter sets cheaply.
-    pub fn estimated_bits(&self) -> f64 {
-        qoz_codec::backend::estimate_bins_bits(&self.bins)
-            + (self.unpred.len() + self.anchors.len()) as f64 * 8.0
-    }
 }
 
 /// Per-pass statistics returned by the scratch-based engine entry point
@@ -619,15 +611,5 @@ mod tests {
         let linear = mk(qoz_predict::InterpKind::Linear);
         let cubic = mk(qoz_predict::InterpKind::Cubic);
         assert!(cubic < linear, "cubic {cubic} vs linear {linear}");
-    }
-
-    #[test]
-    fn estimated_bits_positive_and_ordered() {
-        let data = smooth_3d(16);
-        let tight = InterpSpec::sz3(data.shape(), 1e-6, LevelConfig::default());
-        let loose = InterpSpec::sz3(data.shape(), 1e-2, LevelConfig::default());
-        let bt = compress_with_spec(&data, &tight).estimated_bits();
-        let bl = compress_with_spec(&data, &loose).estimated_bits();
-        assert!(bt > bl, "tighter bound must cost more bits: {bt} vs {bl}");
     }
 }

@@ -327,24 +327,25 @@ fn crafted_header(id: qoz_suite::api::BackendId, dims: &[u64]) -> qoz_suite::cod
 }
 
 /// The smallest well-formed body each backend parses: every section
-/// present and empty, so only the declared shape is wrong.
-fn empty_body(id: qoz_suite::api::BackendId, w: &mut qoz_suite::codec::ByteWriter) {
+/// present and empty, except that `bins` stands in for the first
+/// entropy-coded bin section (ZFP has none and ignores it).
+fn body(id: qoz_suite::api::BackendId, w: &mut qoz_suite::codec::ByteWriter, bins: &[u8]) {
     use qoz_suite::api::BackendId;
     use qoz_suite::codec::{encode_bins, lossless_compress};
     match id {
         BackendId::Qoz | BackendId::Sz3 => {
             qoz_suite::sz3::InterpSpec::anchored(32, 1e-3, Default::default()).write(w);
-            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(bins);
             w.put_len_prefixed(&lossless_compress(&[]));
             w.put_len_prefixed(&lossless_compress(&[]));
         }
         BackendId::Mgard => {
-            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(bins);
             w.put_len_prefixed(&lossless_compress(&[]));
         }
         BackendId::Sz2 => {
             w.put_varint(8); // block side
-            w.put_len_prefixed(&encode_bins(&[]));
+            w.put_len_prefixed(bins);
             w.put_len_prefixed(&lossless_compress(&[]));
             w.put_len_prefixed(&encode_bins(&[]));
             w.put_len_prefixed(&lossless_compress(&[]));
@@ -357,14 +358,55 @@ fn empty_body(id: qoz_suite::api::BackendId, w: &mut qoz_suite::codec::ByteWrite
     }
 }
 
+/// A bin section (`encode_bins` layout: tag 1, then the packed Huffman
+/// stream) whose LZSS layer claims 2^34 bytes from no flags, literals or
+/// matches.
+fn lzss_bomb_bins() -> Vec<u8> {
+    let mut lz = qoz_suite::codec::ByteWriter::new();
+    lz.put_varint(1 << 34);
+    lz.put_len_prefixed(&[]);
+    lz.put_len_prefixed(&[]);
+    lz.put_varint(0);
+    let mut w = qoz_suite::codec::ByteWriter::new();
+    w.put_u8(1);
+    w.put_len_prefixed(&lz.finish());
+    w.finish()
+}
+
+/// A bin section whose Huffman layer (one 1-bit code) claims 2^28
+/// symbols over an empty payload.
+fn huffman_bomb_bins() -> Vec<u8> {
+    let mut h = qoz_suite::codec::ByteWriter::new();
+    h.put_varint(1);
+    h.put_varint(7);
+    h.put_u8(1);
+    h.put_varint(1 << 28);
+    h.put_len_prefixed(&[]);
+    let mut w = qoz_suite::codec::ByteWriter::new();
+    w.put_u8(1);
+    w.put_len_prefixed(&qoz_suite::codec::lossless_compress(&h.finish()));
+    w.finish()
+}
+
 #[test]
 fn crafted_header_shapes_error_without_allocating() {
     use qoz_suite::api::{BackendId, Session};
     // 4096^4 passes the per-dimension cap (2^48 elements); 1 x 2^32 x
     // 2^32 overflows the stride product; 16 x 2^16 x 2^16 sits exactly at
     // the element cap, so the header parses and each decoder must notice
-    // that the payload cannot fill it before allocating 256 GiB.
-    let shapes: [&[u64]; 3] = [&[4096; 4], &[1, 1 << 32, 1 << 32], &[16, 1 << 16, 1 << 16]];
+    // that the payload cannot fill it before allocating 256 GiB. The
+    // last two inputs declare a small shape and lie one layer down, in
+    // the bin section: its LZSS layer claims 2^34 bytes, or its Huffman
+    // layer 2^28 symbols, from empty sections.
+    let empty_bins = qoz_suite::codec::encode_bins(&[]);
+    let (lzss_bomb, huffman_bomb) = (lzss_bomb_bins(), huffman_bomb_bins());
+    let inputs: [(&[u64], &[u8]); 5] = [
+        (&[4096; 4], &empty_bins),
+        (&[1, 1 << 32, 1 << 32], &empty_bins),
+        (&[16, 1 << 16, 1 << 16], &empty_bins),
+        (&[16, 16, 16], &lzss_bomb),
+        (&[16, 16, 16], &huffman_bomb),
+    ];
     for id in [
         BackendId::Sz2,
         BackendId::Sz3,
@@ -377,13 +419,13 @@ fn crafted_header_shapes_error_without_allocating() {
             .bound(ErrorBound::Rel(1e-3))
             .build()
             .unwrap();
-        for dims in shapes {
+        for (k, &(dims, bins)) in inputs.iter().enumerate() {
             let mut w = crafted_header(id, dims);
-            empty_body(id, &mut w);
+            body(id, &mut w, bins);
             let blob = w.finish();
             assert!(
                 session.decompress::<f32>(&blob).is_err(),
-                "{id:?} {dims:?}: Session::decompress"
+                "{id:?} input {k}: Session::decompress"
             );
             let mut out = NdArray::zeros(qoz_suite::tensor::Shape::d1(1));
             assert!(
@@ -391,8 +433,10 @@ fn crafted_header_shapes_error_without_allocating() {
                     .pipeline::<f32>()
                     .decompress_into(&blob, &mut out)
                     .is_err(),
-                "{id:?} {dims:?}: Pipeline::decompress_into"
+                "{id:?} input {k}: Pipeline::decompress_into"
             );
+            let capacity = out.into_vec().capacity();
+            assert!(capacity <= 1, "{id:?} input {k}: out grew to {capacity}");
         }
     }
 }
