@@ -13,13 +13,17 @@
 //!   [`Ssim`](Target::Ssim) or [`Ratio`](Target::Ratio), routed through
 //!   `qoz_core::fixed_quality` so *every* backend — not just QoZ — can
 //!   be driven to a quality target;
-//! * [`BackendRegistry`] — the single `BackendId -> Box<dyn Codec>`
-//!   mapping in the workspace. The archive reader, the CLI and the
-//!   benchmark harness all dispatch through it;
-//! * streaming sinks — [`Session::compress_into`] and
-//!   [`Session::decompress_from`] move streams straight between arrays
-//!   and `io::Write`/`io::Read` without intermediate whole-stream
-//!   buffers on the caller's side;
+//! * [`BackendRegistry`] — the single
+//!   `BackendId -> Box<dyn Compressor<T>>` mapping in the workspace. The
+//!   archive reader, the CLI and the benchmark harness all dispatch
+//!   through it, and its two decode calls,
+//!   [`decompress`](BackendRegistry::decompress) and
+//!   [`decompress_into`](BackendRegistry::decompress_into), are
+//!   header-driven, so they read any workspace stream;
+//! * streaming — [`Session::compress_into`] writes the stream to an
+//!   `io::Write` and [`Session::decompress_from`] reads one from an
+//!   `io::Read`; both buffer the whole stream, as every backend codes
+//!   it in memory;
 //! * [`Pipeline`] — the stateful handle for time-series workloads:
 //!   [`Session::pipeline`] pairs the session with a cached tuning plan
 //!   and a reusable scratch arena, so repeated same-shape snapshots
@@ -73,7 +77,7 @@ mod registry;
 mod session;
 
 pub use pipeline::{Pipeline, PipelineStats};
-pub use registry::{decompress_stream, peek_header, BackendRegistry, Codec};
+pub use registry::{peek_header, BackendRegistry};
 pub use session::{Compressed, Session, SessionBuilder, Target};
 
 /// Re-export of the plan-cache outcome reported by

@@ -18,13 +18,12 @@
 //! resolved against every snapshot individually, so reuse never loosens
 //! the bound contract.
 
-use crate::registry::Codec;
 use crate::session::{Compressed, Session, Target};
 use crate::{ApiError, BackendId, Result};
-use qoz_codec::{CompressStats, Scratch};
+use qoz_codec::{CompressStats, Compressor, Scratch};
 use qoz_core::{PlanCache, PlanOutcome, Qoz};
 use qoz_temporal::{TemporalOutcome, TemporalSession};
-use qoz_tensor::{NdArray, Scalar};
+use qoz_tensor::{NdArray, Scalar, Shape};
 use std::cell::Cell;
 
 /// Counters describing how a [`Pipeline`] has served its calls.
@@ -123,7 +122,7 @@ pub struct Pipeline<T: Scalar> {
 /// config and cached plan, the other a trait object).
 enum Engine<T: Scalar> {
     Qoz(Box<(Qoz, PlanCache)>),
-    Other(Box<dyn Codec<T>>),
+    Other(Box<dyn Compressor<T>>),
 }
 
 impl<T: Scalar> Pipeline<T> {
@@ -366,7 +365,9 @@ impl<T: Scalar> Pipeline<T> {
         let registry = session.registry();
         let grows_before = scratch.decode_grow_events();
         let recon = temporal.decompress_next(blob, |inner| {
-            registry.decompress_with_scratch(inner, &mut *scratch)
+            let mut out = NdArray::zeros(Shape::d1(1));
+            registry.decompress_into(inner, &mut *scratch, &mut out)?;
+            Ok(out)
         })?;
         stats.decode_grow_events += scratch.decode_grow_events() - grows_before;
         Ok(recon)
@@ -390,29 +391,13 @@ impl<T: Scalar> Pipeline<T> {
     /// read-path mirror of [`Pipeline::compress`]. The destination is
     /// reshaped in place; with a warm arena and a previously-seen shape
     /// the whole decode performs zero stage-buffer allocations
-    /// (`stats().decode_grow_events` stays flat).
-    ///
-    /// Dispatch is header-driven: a stream from the pipeline's own
-    /// backend reuses the held engine, any other workspace stream is
-    /// decoded through the registry with the same arena.
+    /// (`stats().decode_grow_events` stays flat). Dispatch is
+    /// header-driven, so any workspace stream decodes here.
     pub fn decompress_into(&mut self, blob: &[u8], out: &mut NdArray<T>) -> Result<()> {
         let grows_before = self.scratch.decode_grow_events();
-        // Temporal keyframes carry a complete independent stream; strip
-        // the frame and decode as usual (deltas are rejected here — use
-        // `decompress_next`).
-        let (header, payload) = crate::registry::standalone_payload(blob)?;
-        match &self.engine {
-            Engine::Qoz(inner) if header.compressor == BackendId::Qoz => inner
-                .0
-                .decompress_into_scratched(payload, &mut self.scratch, out)?,
-            Engine::Other(codec) if codec.id() == header.compressor => {
-                codec.decompress_into(payload, &mut self.scratch, out)?
-            }
-            _ => self
-                .session
-                .registry()
-                .decompress_into(payload, &mut self.scratch, out)?,
-        }
+        self.session
+            .registry()
+            .decompress_into(blob, &mut self.scratch, out)?;
         self.stats.decode_grow_events += self.scratch.decode_grow_events() - grows_before;
         Ok(())
     }

@@ -12,20 +12,6 @@ use qoz_codec::{ByteReader, CodecError, Compressor, Header, Scratch};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
 
-/// A thread-safe compression backend usable through the facade.
-///
-/// Blanket-implemented for everything that implements
-/// [`Compressor`]`<T> + Send + Sync`, so any workspace backend — and
-/// any downstream custom codec — qualifies automatically. The trait
-/// exists so registry consumers can hold `Box<dyn Codec<T>>` and still
-/// hand it to generic plumbing (`qoz_pario`, `qoz_archive`) that wants
-/// a `Compressor<T> + Sync`. `Send` is part of the bargain so owning
-/// types ([`crate::Pipeline`], `qoz_serve` workers) can migrate between
-/// threads.
-pub trait Codec<T: Scalar>: Compressor<T> + Send + Sync {}
-
-impl<T: Scalar, C: Compressor<T> + Send + Sync + ?Sized> Codec<T> for C {}
-
 /// Maps a [`BackendId`] to a ready-to-use codec, generic over the
 /// element type.
 ///
@@ -65,7 +51,7 @@ impl BackendRegistry {
 
     /// Construct the backend for `id` (configuration only affects
     /// compression; decompression is driven by the stream).
-    pub fn codec<T: Scalar>(&self, id: BackendId) -> Box<dyn Codec<T>> {
+    pub fn codec<T: Scalar>(&self, id: BackendId) -> Box<dyn Compressor<T>> {
         match id {
             BackendId::Qoz => Box::new(self.qoz()),
             BackendId::Sz3 => Box::new(qoz_sz3::Sz3::default()),
@@ -84,7 +70,7 @@ impl BackendRegistry {
     }
 
     /// The paper's five-compressor comparison set, in table order.
-    pub fn paper_set<T: Scalar>(&self) -> Vec<Box<dyn Codec<T>>> {
+    pub fn paper_set<T: Scalar>(&self) -> Vec<Box<dyn Compressor<T>>> {
         Self::ALL.iter().map(|&id| self.codec::<T>(id)).collect()
     }
 
@@ -114,21 +100,10 @@ impl BackendRegistry {
         self.codec::<T>(header.compressor).decompress(payload)
     }
 
-    /// [`BackendRegistry::decompress`] staging its stage buffers in a
-    /// reusable arena; decoded values are identical.
-    pub fn decompress_with_scratch<T: Scalar>(
-        &self,
-        blob: &[u8],
-        scratch: &mut Scratch<T>,
-    ) -> qoz_codec::Result<NdArray<T>> {
-        let (header, payload) = standalone_payload(blob)?;
-        self.codec::<T>(header.compressor)
-            .decompress_with_scratch(payload, scratch)
-    }
-
     /// [`BackendRegistry::decompress`] into a caller-provided array,
-    /// reshaped in place — with a warm arena the zero-allocation decode
-    /// path, whatever backend produced the stream.
+    /// reshaped in place, staging every stage buffer in `scratch` — with
+    /// a warm arena the zero-allocation decode path, whatever backend
+    /// produced the stream.
     pub fn decompress_into<T: Scalar>(
         &self,
         blob: &[u8],
@@ -138,17 +113,6 @@ impl BackendRegistry {
         let (header, payload) = standalone_payload(blob)?;
         self.codec::<T>(header.compressor)
             .decompress_into(payload, scratch, out)
-    }
-
-    /// Streaming counterpart of [`BackendRegistry::decompress`]: read a
-    /// stream to its end and decode it, whatever backend produced it.
-    pub fn decompress_from<T: Scalar>(
-        &self,
-        src: &mut dyn std::io::Read,
-    ) -> qoz_codec::Result<NdArray<T>> {
-        let mut blob = Vec::new();
-        src.read_to_end(&mut blob)?;
-        self.decompress(&blob)
     }
 }
 
@@ -162,7 +126,7 @@ pub fn peek_header(blob: &[u8]) -> qoz_codec::Result<Header> {
 /// plain streams pass through, temporal keyframes are unwrapped to
 /// their (complete, independent) payload, temporal deltas are rejected
 /// — they need the chain decode in [`crate::Pipeline::decompress_next`].
-pub(crate) fn standalone_payload(blob: &[u8]) -> qoz_codec::Result<(Header, &[u8])> {
+fn standalone_payload(blob: &[u8]) -> qoz_codec::Result<(Header, &[u8])> {
     let header = peek_header(blob)?;
     match header.temporal {
         None => Ok((header, blob)),
@@ -174,11 +138,6 @@ pub(crate) fn standalone_payload(blob: &[u8]) -> qoz_codec::Result<(Header, &[u8
             "delta chain member requires chain decode (Pipeline::decompress_next)",
         )),
     }
-}
-
-/// Decompress any workspace stream with a default-configured registry.
-pub fn decompress_stream<T: Scalar>(blob: &[u8]) -> qoz_codec::Result<NdArray<T>> {
-    BackendRegistry::new().decompress(blob)
 }
 
 #[cfg(test)]
@@ -226,8 +185,9 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(decompress_stream::<f32>(b"junk").is_err());
-        assert!(decompress_stream::<f32>(&[]).is_err());
+        let reg = BackendRegistry::new();
+        assert!(reg.decompress::<f32>(b"junk").is_err());
+        assert!(reg.decompress::<f32>(&[]).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Builder sessions: validated, reusable compression configurations.
 
-use crate::registry::{BackendRegistry, Codec};
+use crate::registry::BackendRegistry;
 use crate::{ApiError, BackendId, Result};
-use qoz_codec::{CompressStats, ErrorBound};
+use qoz_codec::{CodecError, CompressStats, Compressor, ErrorBound};
 use qoz_core::{compress_codec_to_quality, compress_codec_to_ratio, QualityTarget};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
@@ -213,7 +213,7 @@ impl Session {
     /// The session's backend as a standalone codec, for plumbing that
     /// wants a `Compressor` directly (`qoz_archive::ArchiveWriter`,
     /// `qoz_pario::compress_chunks`).
-    pub fn codec<T: Scalar>(&self) -> Box<dyn Codec<T>> {
+    pub fn codec<T: Scalar>(&self) -> Box<dyn Compressor<T>> {
         self.registry.codec::<T>(self.backend)
     }
 
@@ -268,26 +268,16 @@ impl Session {
         }
     }
 
-    /// Compress `data` straight into a byte sink.
-    ///
-    /// [`Target::Bound`] sessions stream through the backend's
-    /// [`compress_into`](qoz_codec::Compressor::compress_into); quality
-    /// and ratio targets must search for the stream first and then write
-    /// it out. Bytes are identical to [`Session::compress`] either way.
+    /// Compress `data` straight into a byte sink: the stream of
+    /// [`Session::compress`], byte for byte, written to `sink`.
     pub fn compress_into<T: Scalar>(
         &self,
         data: &NdArray<T>,
         sink: &mut dyn std::io::Write,
     ) -> Result<CompressStats> {
-        match self.target {
-            Target::Bound(bound) => Ok(self.codec::<T>().compress_into(data, bound, sink)?),
-            _ => {
-                let out = self.compress(data)?;
-                sink.write_all(&out.blob)
-                    .map_err(qoz_codec::CodecError::from)?;
-                Ok(out.stats)
-            }
-        }
+        let out = self.compress(data)?;
+        sink.write_all(&out.blob).map_err(CodecError::from)?;
+        Ok(out.stats)
     }
 
     /// Decompress any workspace stream (not only this session's
@@ -296,9 +286,12 @@ impl Session {
         Ok(self.registry.decompress(blob)?)
     }
 
-    /// Streaming counterpart of [`Session::decompress`].
+    /// Streaming counterpart of [`Session::decompress`]: reads `src` to
+    /// its end and decodes the buffered stream.
     pub fn decompress_from<T: Scalar>(&self, src: &mut dyn std::io::Read) -> Result<NdArray<T>> {
-        Ok(self.registry.decompress_from(src)?)
+        let mut blob = Vec::new();
+        src.read_to_end(&mut blob).map_err(CodecError::from)?;
+        self.decompress(&blob)
     }
 }
 

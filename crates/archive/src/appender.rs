@@ -108,7 +108,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         if self.reader.toc().vars.iter().any(|v| v.name == name) {
             return Err(ArchiveError::DuplicateVariable(name.to_string()));
@@ -129,7 +129,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         self.add_variable(&snapshot_name(base, t), data, compressor, bound)
     }
@@ -159,7 +159,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     ) -> Result<TemporalKind>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         let name = snapshot_name(base, t);
         if self.reader.toc().vars.iter().any(|v| v.name == name) {

@@ -358,7 +358,9 @@ impl<S: ByteSource> ArchiveReader<S> {
         let mut chunks = Vec::with_capacity(hits.len());
         for &(k, _) in &hits {
             let blob = self.fetch_chunk(var_idx, k)?;
-            chunks.push(codec.decompress_with_scratch(&blob, scratch)?);
+            let mut chunk = NdArray::zeros(Shape::d1(1));
+            codec.decompress_into(&blob, scratch, &mut chunk)?;
+            chunks.push(chunk);
         }
         let m = read_metrics();
         m.chunks_decoded.add(chunks.len() as u64);
@@ -484,17 +486,20 @@ impl<S: ByteSource> ArchiveReader<S> {
         let mut faults = Vec::new();
         for (k, overlap) in hits {
             let kind = match self.classify_chunk(var_idx, k) {
-                Ok(blob) => match codec.decompress_with_scratch(&blob, scratch) {
-                    Ok(decoded) if decoded.shape().dims() == grid[k].size() => {
-                        clean_hits.push((k, overlap));
-                        chunks.push(decoded);
-                        continue;
+                Ok(blob) => {
+                    let mut decoded = NdArray::zeros(Shape::d1(1));
+                    match codec.decompress_into(&blob, scratch, &mut decoded) {
+                        Ok(()) if decoded.shape().dims() == grid[k].size() => {
+                            clean_hits.push((k, overlap));
+                            chunks.push(decoded);
+                            continue;
+                        }
+                        // Checksum passed but the stream won't decode
+                        // (or decodes to the wrong shape): payload
+                        // damage, not a missing tail.
+                        _ => FaultKind::BitFlip,
                     }
-                    // Checksum passed but the stream won't decode (or
-                    // decodes to the wrong shape): payload damage, not
-                    // a missing tail.
-                    _ => FaultKind::BitFlip,
-                },
+                }
                 Err(kind) => kind,
             };
             faults.push(ChunkFault {

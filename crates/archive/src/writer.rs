@@ -86,7 +86,7 @@ impl ArchiveWriter {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         if name.is_empty() {
             return Err(ArchiveError::Corrupt("empty variable name"));
@@ -147,7 +147,7 @@ impl ArchiveWriter {
     ) -> Result<()>
     where
         T: Scalar,
-        C: Compressor<T> + Sync + ?Sized,
+        C: Compressor<T> + ?Sized,
     {
         self.add_variable(name, data, compressor, bound)?;
         self.toc

@@ -25,9 +25,9 @@
 //! PATH` explicitly) writes the machine-readable throughput baseline
 //! that perf PRs are judged against.
 
-use qoz_api::{Codec, Session};
+use qoz_api::Session;
 use qoz_bench::{evaluate, paper_set, write_csv, write_pgm};
-use qoz_codec::stream::{Compressor as _, ErrorBound};
+use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_core::ablation::AblationVariant;
 use qoz_core::{Qoz, QozConfig};
 use qoz_datagen::{Dataset, SizeClass};
@@ -1035,7 +1035,7 @@ fn rate_curves(o: &Opts, metric: QualityMetric, tag: &str) {
 fn fig10(o: &Opts) {
     println!("\n=== Fig. 10: rate vs |lag-1 autocorrelation| of errors ===");
     let sweeps = [3e-2, 1e-2, 3e-3, 1e-3, 3e-4];
-    let variants: Vec<(&str, Box<dyn Codec<f32>>)> = vec![
+    let variants: Vec<(&str, Box<dyn Compressor<f32>>)> = vec![
         ("SZ3", Box::new(qoz_sz3::Sz3::default())),
         (
             "QoZ_PSNRPreferred",
@@ -1125,7 +1125,7 @@ fn fig12(o: &Opts) {
         let data = ds.generate(o.size, 0);
         println!("{} (at eps=1e-3):", ds.name());
         for v in AblationVariant::ALL {
-            let comp: Box<dyn Codec<f32>> = match v {
+            let comp: Box<dyn Compressor<f32>> = match v {
                 AblationVariant::Sz3Baseline => Box::new(qoz_sz3::Sz3::default()),
                 other => Box::new(other.compressor(QualityMetric::Psnr)),
             };

@@ -9,8 +9,8 @@
 //! experiment drivers in `src/bin/repro.rs` are thin loops over these
 //! helpers; results go to stdout as aligned tables and to `results/*.csv`.
 
-use qoz_api::{BackendRegistry, Codec};
-use qoz_codec::stream::ErrorBound;
+use qoz_api::BackendRegistry;
+use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_metrics::QualityMetric;
 use qoz_tensor::{NdArray, Scalar};
 use std::io::Write as _;
@@ -19,7 +19,7 @@ use std::time::Instant;
 /// The paper's comparison set (SZ2.1, SZ3, ZFP, MGARD+, QoZ), QoZ in
 /// the given tuning mode — a thin veneer over
 /// [`BackendRegistry::paper_set`].
-pub fn paper_set<T: Scalar>(metric: QualityMetric) -> Vec<Box<dyn Codec<T>>> {
+pub fn paper_set<T: Scalar>(metric: QualityMetric) -> Vec<Box<dyn Compressor<T>>> {
     BackendRegistry::with_metric(metric).paper_set::<T>()
 }
 
@@ -45,7 +45,11 @@ pub struct RunResult {
 }
 
 /// Run one timed cycle and measure everything.
-pub fn evaluate<T: Scalar>(c: &dyn Codec<T>, data: &NdArray<T>, bound: ErrorBound) -> RunResult {
+pub fn evaluate<T: Scalar>(
+    c: &dyn Compressor<T>,
+    data: &NdArray<T>,
+    bound: ErrorBound,
+) -> RunResult {
     let raw_bytes = (data.len() * T::BYTES) as f64;
     let bits_per_elem = (T::BYTES * 8) as f64;
     let t0 = Instant::now();

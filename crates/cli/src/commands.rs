@@ -804,7 +804,7 @@ mod tests {
                 .to_string_lossy();
             let qz = format!("{outdir}/{name}.qz");
             let blob = std::fs::read(&qz).unwrap();
-            let recon: NdArray<f32> = qoz_api::decompress_stream(&blob).unwrap();
+            let recon: NdArray<f32> = qoz_api::BackendRegistry::new().decompress(&blob).unwrap();
             let slab = &field.as_slice()[t * step..(t + 1) * step];
             let orig = NdArray::from_vec(Shape::d3(16, 16, 16), slab.to_vec());
             let abs = ErrorBound::Rel(1e-3).absolute(&orig);
@@ -857,7 +857,9 @@ mod tests {
 
         // A delta stream must refuse to decode standalone…
         let blob = std::fs::read(format!("{outdir}/u1.f32.qz")).unwrap();
-        assert!(qoz_api::decompress_stream::<f32>(&blob).is_err());
+        assert!(qoz_api::BackendRegistry::new()
+            .decompress::<f32>(&blob)
+            .is_err());
 
         // …but the chain decode serves every snapshot within bound.
         run(parse(&sv(&["decompress", "-i", &outdir, "-o", &recdir])).unwrap()).unwrap();

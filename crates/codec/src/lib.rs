@@ -46,8 +46,8 @@ pub enum CodecError {
     UnexpectedEof,
     /// A header/field contained an invalid value.
     Corrupt(&'static str),
-    /// An underlying reader/writer failed while streaming a blob
-    /// ([`Compressor::compress_into`] / [`Compressor::decompress_from`]).
+    /// An underlying reader/writer failed while streaming a blob to a
+    /// sink or from a source.
     Io(String),
     /// The stream was produced by an incompatible format version.
     ///

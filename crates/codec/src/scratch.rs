@@ -97,9 +97,11 @@ pub struct Scratch<T: Scalar> {
     pub section: Vec<u8>,
     /// Entropy-stage working memory.
     pub entropy: EntropyScratch,
-    /// Growth events recorded against this arena's own buffers by the
-    /// decode internals (the entropy scratches keep their own counters;
-    /// [`Scratch::decode_grow_events`] sums all of them).
+    /// Growth events a caller records for decode work it stages outside
+    /// the entropy scratches. No decoder in the workspace writes it: the
+    /// Huffman and LZSS scratches already count the bins, unpredictable
+    /// and anchor buffers, and the destination array belongs to the
+    /// caller. [`Scratch::decode_grow_events`] adds it to their counts.
     pub grows: GrowCounter,
 }
 
@@ -125,7 +127,9 @@ impl<T: Scalar> Scratch<T> {
     }
 
     /// Total decode-stage buffer growth events across the whole arena:
-    /// this arena's own buffers plus the LZSS and Huffman scratches.
+    /// the LZSS and Huffman scratches (which stage the bins and both
+    /// side streams) plus [`Scratch::grows`]. The destination array a
+    /// decode writes into is the caller's, so it never counts here.
     ///
     /// The count is monotone and survives [`Scratch::clear`] (clearing
     /// keeps capacity, so it is not a growth event). A warm arena

@@ -6,6 +6,7 @@
 //! dispatch on compressed blobs without out-of-band metadata.
 
 use crate::byteio::{ByteReader, ByteWriter};
+use crate::scratch::Scratch;
 use crate::{CodecError, Result};
 use qoz_tensor::{NdArray, Scalar, Shape};
 
@@ -295,103 +296,78 @@ impl CompressStats {
     }
 }
 
-/// The interface every compressor in the workspace implements.
-pub trait Compressor<T: Scalar> {
+/// Read and validate a stream header against the expected compressor id
+/// and element type — the shared front half of every decoder (they
+/// differ only in `expect` and the `wrong_kind` message).
+pub fn check_stream_header<T: Scalar>(
+    r: &mut ByteReader,
+    expect: CompressorId,
+    wrong_kind: &'static str,
+) -> Result<Header> {
+    let header = read_header(r)?;
+    if header.temporal.is_some() {
+        // A temporal chain member's payload is a nested stream, not a
+        // backend body — only chain-aware decoders (qoz_temporal,
+        // qoz_api::Pipeline) may unwrap it.
+        return Err(CodecError::Corrupt(
+            "temporal chain member needs chain decode",
+        ));
+    }
+    if header.compressor != expect {
+        return Err(CodecError::Corrupt(wrong_kind));
+    }
+    if header.scalar_tag != T::TYPE_TAG {
+        return Err(CodecError::Corrupt("scalar type mismatch"));
+    }
+    Ok(header)
+}
+
+/// The interface every compressor in the workspace implements: one
+/// scratch-taking method per direction.
+///
+/// Long-lived callers (pipeline handles, parallel chunk workers, daemon
+/// workers) keep one [`Scratch`] arena per logical worker and amortize
+/// stage-buffer allocations across calls; the arena changes where bytes
+/// are staged, never which bytes are produced or decoded. `Send + Sync`
+/// so a boxed codec can be shared by worker threads and moved with the
+/// handle that owns it.
+pub trait Compressor<T: Scalar>: Send + Sync {
     /// Stable identifier (also stored in stream headers).
     fn id(&self) -> CompressorId;
 
-    /// Compress `data` under `bound`, returning a self-describing blob.
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8>;
-
-    /// Compress `data` under `bound`, staging intermediate buffers in a
-    /// reusable [`Scratch`](crate::scratch::Scratch) arena.
-    ///
-    /// Long-lived callers (pipeline handles, parallel chunk workers)
-    /// keep one arena per logical worker and amortize stage-buffer
-    /// allocations across calls. The bytes returned are exactly those of
-    /// [`Compressor::compress`] — scratch never changes the stream. The
-    /// default implementation ignores the arena; backends with heavy
-    /// stage buffers (QoZ, SZ3) override it.
+    /// Compress `data` under `bound` into a self-describing blob,
+    /// staging intermediate buffers in `scratch`.
     fn compress_with_scratch(
         &self,
         data: &NdArray<T>,
         bound: ErrorBound,
-        scratch: &mut crate::scratch::Scratch<T>,
-    ) -> Vec<u8> {
-        let _ = scratch;
-        self.compress(data, bound)
-    }
+        scratch: &mut Scratch<T>,
+    ) -> Vec<u8>;
 
-    /// Decompress a blob produced by [`Compressor::compress`].
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>>;
-
-    /// Decompress a blob, staging intermediate buffers in a reusable
-    /// [`Scratch`](crate::scratch::Scratch) arena.
-    ///
-    /// The read-side mirror of [`Compressor::compress_with_scratch`]:
-    /// long-lived callers keep one arena per logical worker and amortize
-    /// stage-buffer allocations (LZSS match lists, Huffman tables,
-    /// decoded side streams) across calls. Decoded values are exactly
-    /// those of [`Compressor::decompress`] — scratch never changes the
-    /// reconstruction. The default implementation ignores the arena;
-    /// backends with heavy stage buffers (QoZ, SZ3) override it.
-    fn decompress_with_scratch(
-        &self,
-        blob: &[u8],
-        scratch: &mut crate::scratch::Scratch<T>,
-    ) -> Result<NdArray<T>> {
-        let _ = scratch;
-        self.decompress(blob)
-    }
-
-    /// Decompress a blob into a caller-provided array, reshaping `out`
-    /// to the stream's shape and reusing its allocation when capacity
-    /// allows.
-    ///
-    /// Combined with a warm scratch arena this is the zero-allocation
-    /// steady-state decode path: after the first call on a given stream
-    /// shape, neither the destination nor any stage buffer reallocates.
-    /// Decoded values are exactly those of [`Compressor::decompress`].
-    /// The default implementation bridges over
-    /// [`Compressor::decompress_with_scratch`].
+    /// Decode a blob into `out`, reshaped to the stream's shape and
+    /// reusing its allocation when capacity allows. `out` grows only
+    /// once the payload agrees with the shape its header declares, so
+    /// callers start from an empty array (`NdArray::zeros(Shape::d1(1))`)
+    /// rather than preallocating from an untrusted header. With a warm
+    /// arena and a previously-seen shape this is the zero-allocation
+    /// decode path.
     fn decompress_into(
         &self,
         blob: &[u8],
-        scratch: &mut crate::scratch::Scratch<T>,
+        scratch: &mut Scratch<T>,
         out: &mut NdArray<T>,
-    ) -> Result<()> {
-        *out = self.decompress_with_scratch(blob, scratch)?;
-        Ok(())
+    ) -> Result<()>;
+
+    /// [`Compressor::compress_with_scratch`] on a fresh arena.
+    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+        self.compress_with_scratch(data, bound, &mut Scratch::new())
     }
 
-    /// Compress `data` under `bound` straight into a byte sink, avoiding
-    /// a caller-side intermediate buffer.
-    ///
-    /// The bytes written are exactly those [`Compressor::compress`] would
-    /// return — streaming never changes the format. The default
-    /// implementation bridges over the `Vec<u8>` method; backends may
-    /// override it to write incrementally.
-    fn compress_into(
-        &self,
-        data: &NdArray<T>,
-        bound: ErrorBound,
-        sink: &mut dyn std::io::Write,
-    ) -> Result<CompressStats> {
-        let blob = self.compress(data, bound);
-        sink.write_all(&blob)?;
-        Ok(CompressStats {
-            raw_bytes: (data.len() * T::BYTES) as u64,
-            compressed_bytes: blob.len() as u64,
-        })
-    }
-
-    /// Decompress a stream read from `src` (the counterpart of
-    /// [`Compressor::compress_into`]). The default implementation reads
-    /// the source to its end and decodes the buffered blob.
-    fn decompress_from(&self, src: &mut dyn std::io::Read) -> Result<NdArray<T>> {
-        let mut blob = Vec::new();
-        src.read_to_end(&mut blob)?;
-        self.decompress(&blob)
+    /// [`Compressor::decompress_into`] on a fresh arena and array.
+    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
+        let mut out = NdArray::zeros(Shape::d1(1));
+        self.decompress_into(blob, &mut Scratch::new(), &mut out)?;
+        Ok(out)
     }
 
     /// Display name.
@@ -466,8 +442,8 @@ mod tests {
     #[test]
     fn wrap_unwrap_temporal_preserves_inner_bytes() {
         let data = NdArray::from_vec(Shape::d1(6), vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // NullCodec emits no QZWS header, so build a realistic inner
-        // stream by hand: header + opaque payload.
+        // A realistic inner stream, built by hand: header + opaque
+        // payload.
         let inner_header = Header {
             compressor: CompressorId::Sz3,
             scalar_tag: f32::TYPE_TAG,
@@ -599,58 +575,6 @@ mod tests {
             compressed_bytes: 0,
         };
         assert!(z.ratio().is_finite());
-    }
-
-    /// A sink that fails after a few bytes: streaming errors must surface
-    /// as `CodecError::Io`, not panics.
-    struct FailingSink;
-    impl std::io::Write for FailingSink {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::other("disk full"))
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    struct NullCodec;
-    impl Compressor<f32> for NullCodec {
-        fn id(&self) -> CompressorId {
-            CompressorId::Sz3
-        }
-        fn compress(&self, data: &NdArray<f32>, _: ErrorBound) -> Vec<u8> {
-            data.as_slice().iter().map(|v| *v as u8).collect()
-        }
-        fn decompress(&self, blob: &[u8]) -> Result<NdArray<f32>> {
-            Ok(NdArray::from_vec(
-                Shape::d1(blob.len()),
-                blob.iter().map(|&b| b as f32).collect(),
-            ))
-        }
-    }
-
-    #[test]
-    fn streaming_defaults_bridge_vec_methods() {
-        let data = NdArray::from_vec(Shape::d1(5), vec![1.0f32, 2.0, 3.0, 4.0, 5.0]);
-        let codec = NullCodec;
-        let blob = codec.compress(&data, ErrorBound::Abs(1.0));
-        let mut sink = Vec::new();
-        let stats = codec
-            .compress_into(&data, ErrorBound::Abs(1.0), &mut sink)
-            .unwrap();
-        assert_eq!(sink, blob, "compress_into must emit identical bytes");
-        assert_eq!(stats.raw_bytes, 20);
-        assert_eq!(stats.compressed_bytes, blob.len() as u64);
-
-        let from_vec = codec.decompress(&blob).unwrap();
-        let mut cursor = std::io::Cursor::new(&blob);
-        let from_stream = codec.decompress_from(&mut cursor).unwrap();
-        assert_eq!(from_vec.as_slice(), from_stream.as_slice());
-
-        let err = codec
-            .compress_into(&data, ErrorBound::Abs(1.0), &mut FailingSink)
-            .unwrap_err();
-        assert!(matches!(err, CodecError::Io(_)), "{err:?}");
     }
 
     #[test]

@@ -93,8 +93,9 @@ impl AblationVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoz_codec::ErrorBound;
+    use qoz_codec::{Compressor, ErrorBound};
     use qoz_datagen::{Dataset, SizeClass};
+    use qoz_tensor::NdArray;
 
     #[test]
     fn ladder_monotonically_enables_features() {
@@ -121,8 +122,8 @@ mod tests {
         let abs = bound.absolute(&data);
         for v in &AblationVariant::ALL[1..] {
             let c = v.compressor(QualityMetric::Psnr);
-            let blob = c.compress_typed(&data, bound);
-            let recon = c.decompress_typed::<f32>(&blob).unwrap();
+            let blob = c.compress(&data, bound);
+            let recon: NdArray<f32> = c.decompress(&blob).unwrap();
             assert!(
                 data.max_abs_diff(&recon) <= abs * (1.0 + 1e-12),
                 "{} violates bound",

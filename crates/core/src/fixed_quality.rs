@@ -13,7 +13,7 @@
 
 use crate::{Qoz, QozPlan};
 use qoz_codec::stream::{Compressor, ErrorBound};
-use qoz_codec::Result;
+use qoz_codec::{Result, Scratch};
 use qoz_metrics::{psnr, ssim};
 use qoz_sz3::{compress_with_spec, InterpSpec};
 use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar};
@@ -248,8 +248,8 @@ impl Qoz {
         for _attempt in 0..4 {
             let bound = ErrorBound::Rel(eps);
             let plan = self.plan(data, bound);
-            let blob = self.compress_with_plan(data, &plan);
-            let recon: NdArray<T> = self.decompress_typed(&blob)?;
+            let blob = self.compress_with_plan_scratched(data, &plan, &mut Scratch::new());
+            let recon: NdArray<T> = self.decompress(&blob)?;
             let achieved = match target {
                 QualityTarget::Psnr(_) => psnr(data, &recon),
                 QualityTarget::Ssim(_) => ssim(data, &recon),
@@ -267,8 +267,8 @@ impl Qoz {
         // Final fallback at the tightest bound tried.
         let bound = ErrorBound::Rel(eps);
         let plan = self.plan(data, bound);
-        let blob = self.compress_with_plan(data, &plan);
-        let recon: NdArray<T> = self.decompress_typed(&blob)?;
+        let blob = self.compress_with_plan_scratched(data, &plan, &mut Scratch::new());
+        let recon: NdArray<T> = self.decompress(&blob)?;
         let achieved = match target {
             QualityTarget::Psnr(_) => psnr(data, &recon),
             QualityTarget::Ssim(_) => ssim(data, &recon),
@@ -379,7 +379,7 @@ mod tests {
         let r = qoz
             .compress_to_quality(&data, QualityTarget::Psnr(60.0))
             .unwrap();
-        let recon: qoz_tensor::NdArray<f32> = qoz.decompress_typed(&r.blob).unwrap();
+        let recon: qoz_tensor::NdArray<f32> = qoz.decompress(&r.blob).unwrap();
         let abs = r.rel_bound * data.value_range();
         assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     }

@@ -155,17 +155,11 @@ impl Qoz {
         }
     }
 
-    /// Compress with a pre-computed plan (used by the ablation benches to
-    /// re-apply identical tuning decisions).
-    pub fn compress_with_plan<T: Scalar>(&self, data: &NdArray<T>, plan: &QozPlan) -> Vec<u8> {
-        self.compress_with_plan_scratched(data, plan, &mut Scratch::new())
-    }
-
-    /// [`Qoz::compress_with_plan`] staging its buffers in a reusable
-    /// arena; bytes are identical. This is the warm path of a
-    /// [`pipeline::PlanCache`]-driven caller: with the tuning already
-    /// done and the stage buffers already grown, a repeated same-shape
-    /// snapshot costs one prediction pass plus entropy coding.
+    /// Compress with a pre-computed plan, staging buffers in a reusable
+    /// arena. This is the warm path of a [`pipeline::PlanCache`]-driven
+    /// caller: with the tuning already done and the stage buffers
+    /// already grown, a repeated same-shape snapshot costs one
+    /// prediction pass plus entropy coding.
     pub fn compress_with_plan_scratched<T: Scalar>(
         &self,
         data: &NdArray<T>,
@@ -185,37 +179,24 @@ impl Qoz {
             scratch,
         )
     }
+}
 
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        let plan = self.plan(data, bound);
-        self.compress_with_plan(data, &plan)
+impl<T: Scalar> Compressor<T> for Qoz {
+    fn id(&self) -> CompressorId {
+        CompressorId::Qoz
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed_scratched(blob, &mut Scratch::new())
-    }
-
-    /// [`Qoz::decompress_typed`] staging its stage buffers in a reusable
-    /// arena; decoded values are identical.
-    pub fn decompress_typed_scratched<T: Scalar>(
+    fn compress_with_scratch(
         &self,
-        blob: &[u8],
+        data: &NdArray<T>,
+        bound: ErrorBound,
         scratch: &mut Scratch<T>,
-    ) -> Result<NdArray<T>> {
-        let mut r = ByteReader::new(blob);
-        let header = qoz_sz3::engine::check_stream_header::<T>(
-            &mut r,
-            CompressorId::Qoz,
-            "not a QoZ stream",
-        )?;
-        qoz_sz3::engine::read_stream(&mut r, &header, scratch)
+    ) -> Vec<u8> {
+        let plan = self.plan(data, bound);
+        self.compress_with_plan_scratched(data, &plan, scratch)
     }
 
-    /// [`Qoz::decompress_typed`] into a caller-provided array, reshaped
-    /// in place — with a warm arena the zero-allocation decode path.
-    pub fn decompress_into_scratched<T: Scalar>(
+    fn decompress_into(
         &self,
         blob: &[u8],
         scratch: &mut Scratch<T>,
@@ -228,38 +209,6 @@ impl Qoz {
             "not a QoZ stream",
         )?;
         qoz_sz3::engine::read_stream_into(&mut r, &header, scratch, out)
-    }
-}
-
-impl<T: Scalar> Compressor<T> for Qoz {
-    fn id(&self) -> CompressorId {
-        CompressorId::Qoz
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn compress_with_scratch(
-        &self,
-        data: &NdArray<T>,
-        bound: ErrorBound,
-        scratch: &mut Scratch<T>,
-    ) -> Vec<u8> {
-        let plan = self.plan(data, bound);
-        self.compress_with_plan_scratched(data, &plan, scratch)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-    fn decompress_with_scratch(&self, blob: &[u8], scratch: &mut Scratch<T>) -> Result<NdArray<T>> {
-        self.decompress_typed_scratched(blob, scratch)
-    }
-    fn decompress_into(
-        &self,
-        blob: &[u8],
-        scratch: &mut Scratch<T>,
-        out: &mut NdArray<T>,
-    ) -> Result<()> {
-        self.decompress_into_scratched(blob, scratch, out)
     }
 }
 
@@ -283,8 +232,8 @@ mod tests {
                 let qoz = Qoz::for_metric(metric);
                 let bound = ErrorBound::Rel(1e-3);
                 let abs = bound.absolute(&data);
-                let blob = qoz.compress_typed(&data, bound);
-                let recon = qoz.decompress_typed::<f32>(&blob).unwrap();
+                let blob = qoz.compress(&data, bound);
+                let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
                 assert_eq!(
                     verify_error_bound(&data, &recon, abs),
                     None,
@@ -314,8 +263,8 @@ mod tests {
         // should not lose to SZ3 on smooth turbulence-like data.
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 1);
         let bound = ErrorBound::Rel(1e-2);
-        let qoz_blob = Qoz::default().compress_typed(&data, bound);
-        let sz3_blob = qoz_sz3::Sz3::default().compress_typed(&data, bound);
+        let qoz_blob = Qoz::default().compress(&data, bound);
+        let sz3_blob = qoz_sz3::Sz3::default().compress(&data, bound);
         let qoz_cr = (data.len() * 4) as f64 / qoz_blob.len() as f64;
         let sz3_cr = (data.len() * 4) as f64 / sz3_blob.len() as f64;
         assert!(
@@ -330,8 +279,8 @@ mod tests {
         let bound = ErrorBound::Rel(1e-3);
         let ac_of = |metric| {
             let qoz = Qoz::for_metric(metric);
-            let blob = qoz.compress_typed(&data, bound);
-            let recon = qoz.decompress_typed::<f32>(&blob).unwrap();
+            let blob = qoz.compress(&data, bound);
+            let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
             qoz_metrics::error_autocorrelation(&data, &recon, 1).abs()
         };
         let ac_pref = ac_of(QualityMetric::AutoCorrelation);
@@ -361,8 +310,8 @@ mod tests {
         let data = Dataset::Hurricane.generate(SizeClass::Tiny, 0);
         let qoz = Qoz::default();
         let plan = qoz.plan(&data, ErrorBound::Rel(1e-2));
-        let blob = qoz.compress_with_plan(&data, &plan);
-        let recon = qoz.decompress_typed::<f32>(&blob).unwrap();
+        let blob = qoz.compress_with_plan_scratched(&data, &plan, &mut Scratch::new());
+        let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
         let stride = plan.spec.anchor_stride.unwrap() as usize;
         qoz_predict::for_each_base_point(data.shape(), stride, |off| {
             assert_eq!(recon.as_slice()[off], data.as_slice()[off]);
@@ -372,15 +321,15 @@ mod tests {
     #[test]
     fn wrong_stream_type_rejected() {
         let data = NdArray::from_fn(Shape::d2(32, 32), |i| (i[0] + i[1]) as f32);
-        let sz3_blob = qoz_sz3::Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-        assert!(Qoz::default().decompress_typed::<f32>(&sz3_blob).is_err());
+        let sz3_blob = qoz_sz3::Sz3::default().compress(&data, ErrorBound::Abs(1e-3));
+        assert!(Compressor::<f32>::decompress(&Qoz::default(), &sz3_blob).is_err());
     }
 
     #[test]
     fn small_array_roundtrip() {
         let data = NdArray::from_fn(Shape::d3(5, 4, 3), |i| (i[0] * 12 + i[1] * 3 + i[2]) as f64);
-        let blob = Qoz::default().compress_typed(&data, ErrorBound::Abs(1e-4));
-        let recon = Qoz::default().decompress_typed::<f64>(&blob).unwrap();
+        let blob = Qoz::default().compress(&data, ErrorBound::Abs(1e-4));
+        let recon: NdArray<f64> = Qoz::default().decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-4);
     }
 }

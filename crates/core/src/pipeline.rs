@@ -518,6 +518,7 @@ pub fn decode_snapshots(bytes: &[u8]) -> qoz_codec::Result<Vec<PlanSnapshot>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoz_codec::{Compressor, Scratch};
     use qoz_datagen::{Dataset, SizeClass};
     use qoz_tensor::NdArray;
 
@@ -631,8 +632,8 @@ mod tests {
         assert_eq!(plan.abs_eb, abs);
         assert_eq!(plan.spec.level_ebs[0], abs);
         // And the compressed stream honors it.
-        let blob = qoz.compress_with_plan(&scaled, &plan);
-        let recon = qoz.decompress_typed::<f32>(&blob).unwrap();
+        let blob = qoz.compress_with_plan_scratched(&scaled, &plan, &mut Scratch::new());
+        let recon: NdArray<f32> = qoz.decompress(&blob).unwrap();
         assert!(scaled.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
     }
 
@@ -772,9 +773,9 @@ mod tests {
             let mut seeded = PlanCache::default();
             seeded.seed(flipped);
             let (plan, _) = qoz.plan_cached(&data, bound, &mut seeded);
-            let blob = qoz.compress_with_plan(&data, &plan);
-            let recon = qoz
-                .decompress_typed::<f32>(&blob)
+            let blob = qoz.compress_with_plan_scratched(&data, &plan, &mut Scratch::new());
+            let recon: NdArray<f32> = qoz
+                .decompress(&blob)
                 .unwrap_or_else(|e| panic!("byte {i}: replayed stream rejected: {e}"));
             assert_eq!(
                 qoz_metrics::verify_error_bound(&data, &recon, abs),

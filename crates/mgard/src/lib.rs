@@ -19,9 +19,9 @@
 //!   MGARD+ uses Huffman+zstd.
 
 use qoz_codec::stream::{self, Compressor, CompressorId, ErrorBound, Header};
-use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result};
+use qoz_codec::{ByteReader, ByteWriter, LinearQuantizer, Result, Scratch};
 use qoz_predict::{DimOrder, InterpKind, LevelConfig};
-use qoz_sz3::{compress_with_spec, decompress_with_spec, InterpSpec};
+use qoz_sz3::{compress_with_spec_into, decompress_with_spec_into, InterpSpec};
 use qoz_tensor::{NdArray, Scalar, Shape};
 
 /// Fraction of the user bound each level actually uses (budget split).
@@ -45,13 +45,21 @@ fn mgard_spec(shape: Shape, abs_eb: f64) -> InterpSpec {
     spec
 }
 
-impl Mgard {
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+impl<T: Scalar> Compressor<T> for Mgard {
+    fn id(&self) -> CompressorId {
+        CompressorId::Mgard
+    }
+
+    fn compress_with_scratch(
+        &self,
+        data: &NdArray<T>,
+        bound: ErrorBound,
+        scratch: &mut Scratch<T>,
+    ) -> Vec<u8> {
         let abs_eb = bound.absolute(data);
         let shape = data.shape();
         let spec = mgard_spec(shape, abs_eb);
-        let out = compress_with_spec(data, &spec);
+        compress_with_spec_into(data, &spec, scratch);
 
         let mut w = ByteWriter::with_capacity(data.len() / 4 + 64);
         stream::write_header(
@@ -64,44 +72,48 @@ impl Mgard {
                 temporal: None,
             },
         );
-        w.put_len_prefixed(&qoz_codec::encode_bins(&out.bins));
-        w.put_len_prefixed(&qoz_codec::lossless_compress(&out.unpred));
+        qoz_codec::encode_bins_with(&scratch.bins, &mut scratch.entropy, &mut scratch.section);
+        w.put_len_prefixed(&scratch.section);
+        qoz_codec::lossless_compress_with(
+            &scratch.unpred,
+            &mut scratch.entropy,
+            &mut scratch.section,
+        );
+        w.put_len_prefixed(&scratch.section);
         w.finish()
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
+    fn decompress_into(
+        &self,
+        blob: &[u8],
+        scratch: &mut Scratch<T>,
+        out: &mut NdArray<T>,
+    ) -> Result<()> {
         let mut r = ByteReader::new(blob);
-        let header = stream::read_header(&mut r)?;
-        if header.temporal.is_some() {
-            return Err(CodecError::Corrupt(
-                "temporal chain member needs chain decode",
-            ));
-        }
-        if header.compressor != CompressorId::Mgard {
-            return Err(CodecError::Corrupt("not an MGARD stream"));
-        }
-        if header.scalar_tag != T::TYPE_TAG {
-            return Err(CodecError::Corrupt("scalar type mismatch"));
-        }
+        let header =
+            stream::check_stream_header::<T>(&mut r, CompressorId::Mgard, "not an MGARD stream")?;
         // The spec is fully determined by (shape, abs_eb): nothing to
         // store per stream.
         let spec = mgard_spec(header.shape, header.abs_eb);
-        let bins = qoz_codec::decode_bins(r.get_len_prefixed()?)?;
-        let unpred = qoz_codec::lossless_decompress(r.get_len_prefixed()?)?;
-        decompress_with_spec::<T>(header.shape, &spec, &bins, &unpred, &[])
-    }
-}
-
-impl<T: Scalar> Compressor<T> for Mgard {
-    fn id(&self) -> CompressorId {
-        CompressorId::Mgard
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
+        qoz_codec::decode_bins_with(
+            r.get_len_prefixed()?,
+            &mut scratch.entropy,
+            &mut scratch.bins,
+        )?;
+        qoz_codec::lossless_decompress_with(
+            r.get_len_prefixed()?,
+            &mut scratch.entropy,
+            &mut scratch.unpred,
+        )?;
+        decompress_with_spec_into(
+            header.shape,
+            &spec,
+            &scratch.bins,
+            &scratch.unpred,
+            &[],
+            out,
+        )?;
+        Ok(())
     }
 }
 
@@ -117,8 +129,8 @@ mod tests {
             let data = ds.generate(SizeClass::Tiny, 0);
             let bound = ErrorBound::Rel(1e-3);
             let abs = bound.absolute(&data);
-            let blob = Mgard.compress_typed(&data, bound);
-            let recon = Mgard.decompress_typed::<f32>(&blob).unwrap();
+            let blob = Mgard.compress(&data, bound);
+            let recon: NdArray<f32> = Mgard.decompress(&blob).unwrap();
             assert_eq!(
                 verify_error_bound(&data, &recon, abs),
                 None,
@@ -135,8 +147,8 @@ mod tests {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
         let bound = ErrorBound::Rel(1e-2);
         let abs = bound.absolute(&data);
-        let blob = Mgard.compress_typed(&data, bound);
-        let recon = Mgard.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Mgard.compress(&data, bound);
+        let recon: NdArray<f32> = Mgard.decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= abs * BUDGET_FRACTION * (1.0 + 1e-9));
     }
 
@@ -145,8 +157,8 @@ mod tests {
         let data = NdArray::from_fn(Shape::d3(15, 16, 17), |i| {
             (i[0] as f64 - i[1] as f64) * 0.1 + (i[2] as f64 * 0.4).sin()
         });
-        let blob = Mgard.compress_typed(&data, ErrorBound::Abs(1e-5));
-        let recon = Mgard.decompress_typed::<f64>(&blob).unwrap();
+        let blob = Mgard.compress(&data, ErrorBound::Abs(1e-5));
+        let recon: NdArray<f64> = Mgard.decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-5);
     }
 
@@ -156,17 +168,17 @@ mod tests {
         // the paper's Table III ordering.
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
         let bound = ErrorBound::Rel(1e-3);
-        let m = Mgard.compress_typed(&data, bound).len();
-        let s = qoz_sz3::Sz3::default().compress_typed(&data, bound).len();
+        let m = Mgard.compress(&data, bound).len();
+        let s = qoz_sz3::Sz3::default().compress(&data, bound).len();
         assert!(m >= s, "MGARD {m} should not beat SZ3 {s} here");
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d2(20, 20), |i| (i[0] + i[1]) as f32);
-        let blob = Mgard.compress_typed(&data, ErrorBound::Abs(1e-3));
+        let blob = Mgard.compress(&data, ErrorBound::Abs(1e-3));
         for cut in [3, blob.len() / 2, blob.len() - 1] {
-            assert!(Mgard.decompress_typed::<f32>(&blob[..cut]).is_err());
+            assert!(Compressor::<f32>::decompress(&Mgard, &blob[..cut]).is_err());
         }
     }
 }

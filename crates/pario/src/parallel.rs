@@ -54,7 +54,7 @@ pub fn compress_chunks<T, C>(
 ) -> Vec<Vec<u8>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     if chunks.is_empty() {
         return Vec::new();
@@ -100,7 +100,7 @@ pub fn compress_chunks_into<T, C>(
 ) -> Result<Vec<u64>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     let blobs = compress_chunks(compressor, chunks, bound, threads);
     let mut lens = Vec::with_capacity(blobs.len());
@@ -120,7 +120,7 @@ pub fn decompress_chunks<T, C>(
 ) -> Result<Vec<NdArray<T>>>
 where
     T: Scalar,
-    C: Compressor<T> + Sync + ?Sized,
+    C: Compressor<T> + ?Sized,
 {
     if blobs.is_empty() {
         return Ok(Vec::new());
@@ -134,10 +134,16 @@ where
             s.spawn(move |_| {
                 // One arena per worker, mirroring `compress_chunks`:
                 // the decode slab reuses its stage buffers across every
-                // blob, with values identical to the allocating path.
+                // blob. Each chunk decodes into its own array, grown
+                // only once its payload agrees with its header.
                 let mut scratch = Scratch::new();
                 for (out, blob) in out_slab.iter_mut().zip(in_slab) {
-                    *out = Some(compressor.decompress_with_scratch(blob, &mut scratch));
+                    let mut chunk = NdArray::zeros(Shape::d1(1));
+                    *out = Some(
+                        compressor
+                            .decompress_into(blob, &mut scratch, &mut chunk)
+                            .map(|()| chunk),
+                    );
                 }
             });
         }

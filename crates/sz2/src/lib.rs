@@ -17,7 +17,7 @@
 //! ratios on smooth data.
 
 use qoz_codec::stream::{self, Compressor, CompressorId, ErrorBound, Header};
-use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result};
+use qoz_codec::{ByteReader, ByteWriter, CodecError, LinearQuantizer, Result, Scratch};
 use qoz_predict::{lorenzo2_predict, lorenzo_predict, RegressionModel};
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
 
@@ -75,9 +75,17 @@ pub struct Sz2 {
     pub block_side: Option<usize>,
 }
 
-impl Sz2 {
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+impl<T: Scalar> Compressor<T> for Sz2 {
+    fn id(&self) -> CompressorId {
+        CompressorId::Sz2
+    }
+
+    fn compress_with_scratch(
+        &self,
+        data: &NdArray<T>,
+        bound: ErrorBound,
+        _scratch: &mut Scratch<T>,
+    ) -> Vec<u8> {
         let abs_eb = bound.absolute(data);
         let shape = data.shape();
         let side = self.block_side.unwrap_or(default_block_side(shape.ndim()));
@@ -157,21 +165,15 @@ impl Sz2 {
         w.finish()
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
+    fn decompress_into(
+        &self,
+        blob: &[u8],
+        _scratch: &mut Scratch<T>,
+        out: &mut NdArray<T>,
+    ) -> Result<()> {
         let mut r = ByteReader::new(blob);
-        let header = stream::read_header(&mut r)?;
-        if header.temporal.is_some() {
-            return Err(CodecError::Corrupt(
-                "temporal chain member needs chain decode",
-            ));
-        }
-        if header.compressor != CompressorId::Sz2 {
-            return Err(CodecError::Corrupt("not an SZ2 stream"));
-        }
-        if header.scalar_tag != T::TYPE_TAG {
-            return Err(CodecError::Corrupt("scalar type mismatch"));
-        }
+        let header =
+            stream::check_stream_header::<T>(&mut r, CompressorId::Sz2, "not an SZ2 stream")?;
         let shape = header.shape;
         let side = r.get_varint()? as usize;
         if side == 0 || side > 1 << 20 {
@@ -196,7 +198,8 @@ impl Sz2 {
         let nd = shape.ndim();
         let n_coefs = nd + 1;
 
-        let mut work = NdArray::<T>::zeros(shape);
+        out.reset_zeros(shape);
+        let work = out;
         let mut bin_pos = 0usize;
         for (region, &sel) in blocks.iter().zip(&selector_codes) {
             let choice = BlockPredictor::from_code(sel)?;
@@ -235,7 +238,7 @@ impl Sz2 {
                 }
             }
         }
-        Ok(work)
+        Ok(())
     }
 }
 
@@ -302,18 +305,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-impl<T: Scalar> Compressor<T> for Sz2 {
-    fn id(&self) -> CompressorId {
-        CompressorId::Sz2
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,8 +324,8 @@ mod tests {
             let data = ds.generate(SizeClass::Tiny, 0);
             let bound = ErrorBound::Rel(1e-3);
             let abs = bound.absolute(&data);
-            let blob = Sz2::default().compress_typed(&data, bound);
-            let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+            let blob = Sz2::default().compress(&data, bound);
+            let recon: NdArray<f32> = Sz2::default().decompress(&blob).unwrap();
             assert_eq!(
                 verify_error_bound(&data, &recon, abs),
                 None,
@@ -349,8 +340,8 @@ mod tests {
         let data = NdArray::from_fn(Shape::d2(40, 40), |i| {
             (i[0] as f64 * 0.17).sin() + i[1] as f64 * 0.03
         });
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-5));
-        let recon = Sz2::default().decompress_typed::<f64>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-5));
+        let recon: NdArray<f64> = Sz2::default().decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-5);
     }
 
@@ -361,8 +352,8 @@ mod tests {
         let data = NdArray::from_fn(Shape::d2(48, 48), |i| {
             (i[0] as f32) * 0.5 - (i[1] as f32) * 0.25
         });
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-4));
-        let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-4));
+        let recon: NdArray<f32> = Sz2::default().decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-4);
         let cr = (data.len() * 4) as f64 / blob.len() as f64;
         assert!(cr > 8.0, "gradient should compress well, CR {cr:.1}");
@@ -371,19 +362,17 @@ mod tests {
     #[test]
     fn one_dimensional_roundtrip() {
         let data = NdArray::from_fn(Shape::d1(1000), |i| ((i[0] as f32) * 0.02).sin());
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-        let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-3));
+        let recon: NdArray<f32> = Sz2::default().decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-3);
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d2(30, 30), |i| (i[0] * i[1]) as f32);
-        let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-2));
+        let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-2));
         for cut in [5, blob.len() / 3, blob.len() - 1] {
-            assert!(Sz2::default()
-                .decompress_typed::<f32>(&blob[..cut])
-                .is_err());
+            assert!(Compressor::<f32>::decompress(&Sz2::default(), &blob[..cut]).is_err());
         }
     }
 
@@ -393,8 +382,8 @@ mod tests {
         let sz2 = Sz2 {
             block_side: Some(9),
         };
-        let blob = sz2.compress_typed(&data, ErrorBound::Rel(1e-3));
-        let recon = sz2.decompress_typed::<f32>(&blob).unwrap();
+        let blob = sz2.compress(&data, ErrorBound::Rel(1e-3));
+        let recon: NdArray<f32> = sz2.decompress(&blob).unwrap();
         let abs = ErrorBound::Rel(1e-3).absolute(&data);
         assert!(data.max_abs_diff(&recon) <= abs);
     }
@@ -404,8 +393,8 @@ mod tests {
         for dims in [vec![7usize, 13], vec![5, 5, 5], vec![1, 17], vec![19]] {
             let shape = Shape::new(&dims);
             let data = NdArray::from_fn(shape, |i| (i[0] as f32 + 0.5).ln());
-            let blob = Sz2::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-            let recon = Sz2::default().decompress_typed::<f32>(&blob).unwrap();
+            let blob = Sz2::default().compress(&data, ErrorBound::Abs(1e-3));
+            let recon: NdArray<f32> = Sz2::default().decompress(&blob).unwrap();
             assert!(data.max_abs_diff(&recon) <= 1e-3, "dims {dims:?}");
         }
     }

@@ -217,41 +217,21 @@ pub fn write_stream<T: Scalar>(
     w.finish()
 }
 
-/// Read and validate a stream header against the expected compressor id
-/// and element type — the shared front half of every engine-backed
-/// decoder (SZ3 and QoZ differ only in `expect` and the error message).
-pub fn check_stream_header<T: Scalar>(
-    r: &mut ByteReader,
-    expect: stream::CompressorId,
-    wrong_kind: &'static str,
-) -> Result<Header> {
-    let header = stream::read_header(r)?;
-    if header.temporal.is_some() {
-        // A temporal chain member's payload is a nested stream, not an
-        // engine body — only chain-aware decoders (qoz_temporal,
-        // qoz_api::Pipeline) may unwrap it.
-        return Err(CodecError::Corrupt(
-            "temporal chain member needs chain decode",
-        ));
-    }
-    if header.compressor != expect {
-        return Err(CodecError::Corrupt(wrong_kind));
-    }
-    if header.scalar_tag != T::TYPE_TAG {
-        return Err(CodecError::Corrupt("scalar type mismatch"));
-    }
-    Ok(header)
-}
+/// Every decoder's header check, re-exported beside the engine's stream
+/// framing for the engine-backed decoders and `qozbench`'s split path.
+pub use qoz_codec::stream::check_stream_header;
 
-/// Stage the body of a stream assembled by [`write_stream`] — spec,
-/// entropy-coded bins, packed side streams — in `scratch`; returns the
-/// spec. The shared front half of [`read_stream_into`] and
-/// [`read_stream`].
-fn read_sections<T: Scalar>(
+/// Decode the body of a stream assembled by [`write_stream`] — spec,
+/// entropy-coded bins, packed side streams — staging every section in
+/// `scratch`, then rebuild the array into `out` (reshaped in place).
+/// The read-side mirror of [`compress_with_spec_into`] +
+/// [`write_stream`].
+pub fn read_stream_into<T: Scalar>(
     r: &mut ByteReader,
     header: &Header,
     scratch: &mut Scratch<T>,
-) -> Result<InterpSpec> {
+    out: &mut NdArray<T>,
+) -> Result<()> {
     let spec = InterpSpec::read(r, header.shape)?;
     qoz_codec::decode_bins_with(
         r.get_len_prefixed()?,
@@ -268,66 +248,15 @@ fn read_sections<T: Scalar>(
         &mut scratch.entropy,
         &mut scratch.anchors,
     )?;
-    Ok(spec)
-}
-
-/// Decode the body of a stream assembled by [`write_stream`], staging
-/// every section in `scratch`, then rebuild the array into `out`
-/// (reshaped in place). The read-side mirror of
-/// [`compress_with_spec_into`] + [`write_stream`]; decoded values are
-/// bitwise-identical to the allocating [`read_stream`].
-pub fn read_stream_into<T: Scalar>(
-    r: &mut ByteReader,
-    header: &Header,
-    scratch: &mut Scratch<T>,
-    out: &mut NdArray<T>,
-) -> Result<()> {
-    let spec = read_sections(r, header, scratch)?;
-    if decompress_with_spec_into(
+    decompress_with_spec_into(
         header.shape,
         &spec,
         &scratch.bins,
         &scratch.unpred,
         &scratch.anchors,
         out,
-    )? {
-        scratch.grows.bump();
-    }
+    )?;
     Ok(())
-}
-
-/// [`read_stream_into`] into a fresh array, the allocating decoders'
-/// result (allocated by [`decompress_with_spec`], so only once the
-/// payload's counts agree with the header's shape).
-pub fn read_stream<T: Scalar>(
-    r: &mut ByteReader,
-    header: &Header,
-    scratch: &mut Scratch<T>,
-) -> Result<NdArray<T>> {
-    let spec = read_sections(r, header, scratch)?;
-    decompress_with_spec(
-        header.shape,
-        &spec,
-        &scratch.bins,
-        &scratch.unpred,
-        &scratch.anchors,
-    )
-}
-
-/// Mirror of [`compress_with_spec`]: rebuild the array from streams.
-/// The result is allocated only after the section lengths check out
-/// against `shape`.
-pub fn decompress_with_spec<T: Scalar>(
-    shape: Shape,
-    spec: &InterpSpec,
-    bins: &[u32],
-    unpred: &[u8],
-    anchors: &[u8],
-) -> Result<NdArray<T>> {
-    check_sections::<T>(shape, spec, bins, anchors)?;
-    let mut work = NdArray::<T>::zeros(shape);
-    decompress_with_spec_into(shape, spec, bins, unpred, anchors, &mut work)?;
-    Ok(work)
 }
 
 /// Check that `bins` and `anchors` hold exactly what
@@ -356,12 +285,12 @@ fn check_sections<T: Scalar>(
     Ok(())
 }
 
-/// [`decompress_with_spec`] into a caller-provided array: `out` is
-/// reshaped to `shape` (reusing its allocation when capacity allows,
-/// zero-filled first like the allocating path) and rebuilt in place.
-/// Returns `true` when `out`'s backing buffer had to grow, so callers
-/// tracking zero-allocation steady state can count the event. The
-/// reconstruction is bitwise-identical to [`decompress_with_spec`].
+/// Mirror of [`compress_with_spec_into`]: rebuild the array from the
+/// three engine streams into a caller-provided array. `out` is reshaped
+/// to `shape` (reusing its allocation when capacity allows, zero-filled
+/// first) and rebuilt in place. Returns `true` when `out`'s backing
+/// buffer had to grow, so a caller that owns the destination can tell
+/// a reused one from a fresh one.
 ///
 /// The section lengths are checked against `shape` before `out` is
 /// touched.
@@ -495,6 +424,42 @@ mod tests {
         })
     }
 
+    /// [`decompress_with_spec_into`] into an empty array.
+    fn decode(
+        shape: Shape,
+        spec: &InterpSpec,
+        bins: &[u32],
+        unpred: &[u8],
+        anchors: &[u8],
+    ) -> Result<NdArray<f64>> {
+        let mut out = NdArray::zeros(Shape::d1(1));
+        decompress_with_spec_into(shape, spec, bins, unpred, anchors, &mut out)?;
+        Ok(out)
+    }
+
+    #[test]
+    fn destination_growth_is_reported_only_when_out_grows() {
+        let small = smooth_3d(9);
+        let big = smooth_3d(13);
+        let spec_of = |d: &NdArray<f64>| InterpSpec::sz3(d.shape(), 1e-3, LevelConfig::default());
+        let (small_spec, big_spec) = (spec_of(&small), spec_of(&big));
+        let (s, b) = (
+            compress_with_spec(&small, &small_spec),
+            compress_with_spec(&big, &big_spec),
+        );
+        let mut out = NdArray::<f64>::zeros(Shape::d1(1));
+        let mut run = |shape, spec, c: &CompressOutput<f64>| {
+            let grew =
+                decompress_with_spec_into(shape, spec, &c.bins, &c.unpred, &c.anchors, &mut out)
+                    .unwrap();
+            assert_eq!(out.as_slice(), c.recon.as_slice());
+            grew
+        };
+        assert!(run(small.shape(), &small_spec, &s), "fresh destination");
+        assert!(!run(small.shape(), &small_spec, &s), "same-shape repeat");
+        assert!(run(big.shape(), &big_spec, &b), "larger shape");
+    }
+
     #[test]
     fn recon_matches_decompressor_bit_exactly() {
         let data = smooth_3d(17);
@@ -503,14 +468,7 @@ mod tests {
             InterpSpec::anchored(8, 1e-3, LevelConfig::default()),
         ] {
             let out = compress_with_spec(&data, &spec);
-            let recon = decompress_with_spec::<f64>(
-                data.shape(),
-                &spec,
-                &out.bins,
-                &out.unpred,
-                &out.anchors,
-            )
-            .unwrap();
+            let recon = decode(data.shape(), &spec, &out.bins, &out.unpred, &out.anchors).unwrap();
             assert_eq!(out.recon.as_slice(), recon.as_slice(), "spec {spec:?}");
         }
     }
@@ -556,10 +514,7 @@ mod tests {
         let spec = InterpSpec::sz3(data.shape(), 1e-3, LevelConfig::default());
         let out = compress_with_spec(&data, &spec);
         let short = &out.bins[..out.bins.len() - 1];
-        assert!(
-            decompress_with_spec::<f64>(data.shape(), &spec, short, &out.unpred, &out.anchors)
-                .is_err()
-        );
+        assert!(decode(data.shape(), &spec, short, &out.unpred, &out.anchors).is_err());
     }
 
     #[test]
@@ -569,10 +524,7 @@ mod tests {
         let out = compress_with_spec(&data, &spec);
         let mut long = out.bins.clone();
         long.push(32768);
-        assert!(
-            decompress_with_spec::<f64>(data.shape(), &spec, &long, &out.unpred, &out.anchors)
-                .is_err()
-        );
+        assert!(decode(data.shape(), &spec, &long, &out.unpred, &out.anchors).is_err());
     }
 
     #[test]
@@ -585,7 +537,7 @@ mod tests {
         let spec = InterpSpec::sz3(data.shape(), 1e-12, LevelConfig::default());
         let out = compress_with_spec(&data, &spec);
         assert!(!out.unpred.is_empty(), "test needs unpredictable points");
-        assert!(decompress_with_spec::<f64>(
+        assert!(decode(
             data.shape(),
             &spec,
             &out.bins,

@@ -18,8 +18,8 @@ pub mod select;
 pub mod spec;
 
 pub use engine::{
-    compress_with_spec, compress_with_spec_into, decompress_with_spec, decompress_with_spec_into,
-    CompressOutput, EngineStats,
+    compress_with_spec, compress_with_spec_into, decompress_with_spec_into, CompressOutput,
+    EngineStats,
 };
 pub use select::select_global_interp;
 pub use spec::InterpSpec;
@@ -50,15 +50,12 @@ pub struct Sz3 {
     pub fixed_interp: Option<qoz_predict::LevelConfig>,
 }
 
-impl Sz3 {
-    /// Compress with an explicit scalar type.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed_with(data, bound, &mut Scratch::new())
+impl<T: Scalar> Compressor<T> for Sz3 {
+    fn id(&self) -> CompressorId {
+        CompressorId::Sz3
     }
 
-    /// [`Sz3::compress_typed`] staging its buffers in a reusable arena;
-    /// bytes are identical.
-    pub fn compress_typed_with<T: Scalar>(
+    fn compress_with_scratch(
         &self,
         data: &NdArray<T>,
         bound: ErrorBound,
@@ -84,27 +81,7 @@ impl Sz3 {
         )
     }
 
-    /// Decompress with an explicit scalar type.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed_scratched(blob, &mut Scratch::new())
-    }
-
-    /// [`Sz3::decompress_typed`] staging its stage buffers in a reusable
-    /// arena; decoded values are identical.
-    pub fn decompress_typed_scratched<T: Scalar>(
-        &self,
-        blob: &[u8],
-        scratch: &mut Scratch<T>,
-    ) -> Result<NdArray<T>> {
-        let mut r = ByteReader::new(blob);
-        let header =
-            engine::check_stream_header::<T>(&mut r, CompressorId::Sz3, "not an SZ3 stream")?;
-        engine::read_stream(&mut r, &header, scratch)
-    }
-
-    /// [`Sz3::decompress_typed`] into a caller-provided array, reshaped
-    /// in place — with a warm arena the zero-allocation decode path.
-    pub fn decompress_into_scratched<T: Scalar>(
+    fn decompress_into(
         &self,
         blob: &[u8],
         scratch: &mut Scratch<T>,
@@ -114,37 +91,6 @@ impl Sz3 {
         let header =
             engine::check_stream_header::<T>(&mut r, CompressorId::Sz3, "not an SZ3 stream")?;
         engine::read_stream_into(&mut r, &header, scratch, out)
-    }
-}
-
-impl<T: Scalar> Compressor<T> for Sz3 {
-    fn id(&self) -> CompressorId {
-        CompressorId::Sz3
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn compress_with_scratch(
-        &self,
-        data: &NdArray<T>,
-        bound: ErrorBound,
-        scratch: &mut Scratch<T>,
-    ) -> Vec<u8> {
-        self.compress_typed_with(data, bound, scratch)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-    fn decompress_with_scratch(&self, blob: &[u8], scratch: &mut Scratch<T>) -> Result<NdArray<T>> {
-        self.decompress_typed_scratched(blob, scratch)
-    }
-    fn decompress_into(
-        &self,
-        blob: &[u8],
-        scratch: &mut Scratch<T>,
-        out: &mut NdArray<T>,
-    ) -> Result<()> {
-        self.decompress_into_scratched(blob, scratch, out)
     }
 }
 
@@ -162,8 +108,8 @@ mod tests {
             for eb in [1e-2, 1e-3] {
                 let bound = ErrorBound::Rel(eb);
                 let abs = bound.absolute(&data);
-                let blob = Sz3::default().compress_typed(&data, bound);
-                let recon = Sz3::default().decompress_typed::<f32>(&blob).unwrap();
+                let blob = Sz3::default().compress(&data, bound);
+                let recon: NdArray<f32> = Sz3::default().decompress(&blob).unwrap();
                 assert_eq!(recon.shape(), data.shape());
                 assert_eq!(
                     verify_error_bound(&data, &recon, abs),
@@ -178,7 +124,7 @@ mod tests {
     #[test]
     fn compresses_smooth_data_well() {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
-        let blob = Sz3::default().compress_typed(&data, ErrorBound::Rel(1e-3));
+        let blob = Sz3::default().compress(&data, ErrorBound::Rel(1e-3));
         let raw = data.len() * 4;
         let cr = raw as f64 / blob.len() as f64;
         assert!(cr > 5.0, "expected meaningful compression, got CR {cr:.2}");
@@ -189,26 +135,24 @@ mod tests {
         let data = NdArray::from_fn(Shape::d3(20, 20, 20), |i| {
             ((i[0] + i[1]) as f64 * 0.21).sin() * (i[2] as f64 * 0.13).cos()
         });
-        let blob = Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-6));
-        let recon = Sz3::default().decompress_typed::<f64>(&blob).unwrap();
+        let blob = Sz3::default().compress(&data, ErrorBound::Abs(1e-6));
+        let recon: NdArray<f64> = Sz3::default().decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-6);
     }
 
     #[test]
     fn wrong_scalar_type_rejected() {
         let data = NdArray::from_fn(Shape::d1(100), |i| i[0] as f32);
-        let blob = Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-        assert!(Sz3::default().decompress_typed::<f64>(&blob).is_err());
+        let blob = Sz3::default().compress(&data, ErrorBound::Abs(1e-3));
+        assert!(Compressor::<f64>::decompress(&Sz3::default(), &blob).is_err());
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d2(32, 32), |i| (i[0] * i[1]) as f32);
-        let blob = Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-2));
+        let blob = Sz3::default().compress(&data, ErrorBound::Abs(1e-2));
         for cut in [5, blob.len() / 2, blob.len() - 1] {
-            assert!(Sz3::default()
-                .decompress_typed::<f32>(&blob[..cut])
-                .is_err());
+            assert!(Compressor::<f32>::decompress(&Sz3::default(), &blob[..cut]).is_err());
         }
     }
 
@@ -223,8 +167,8 @@ mod tests {
         ] {
             let shape = Shape::new(&dims);
             let data = NdArray::from_fn(shape, |i| (i[0] + 1) as f32 * 1.5);
-            let blob = Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-4));
-            let recon = Sz3::default().decompress_typed::<f32>(&blob).unwrap();
+            let blob = Sz3::default().compress(&data, ErrorBound::Abs(1e-4));
+            let recon: NdArray<f32> = Sz3::default().decompress(&blob).unwrap();
             assert!(data.max_abs_diff(&recon) <= 1e-4, "dims {dims:?}");
         }
     }
@@ -234,8 +178,8 @@ mod tests {
         let mut data = NdArray::from_fn(Shape::d1(64), |i| i[0] as f32);
         data.as_mut_slice()[10] = f32::NAN;
         data.as_mut_slice()[20] = f32::INFINITY;
-        let blob = Sz3::default().compress_typed(&data, ErrorBound::Abs(1e-3));
-        let recon = Sz3::default().decompress_typed::<f32>(&blob).unwrap();
+        let blob = Sz3::default().compress(&data, ErrorBound::Abs(1e-3));
+        let recon: NdArray<f32> = Sz3::default().decompress(&blob).unwrap();
         assert!(recon.as_slice()[10].is_nan());
         assert_eq!(recon.as_slice()[20], f32::INFINITY);
         // Finite points still bounded.

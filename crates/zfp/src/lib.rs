@@ -22,7 +22,7 @@ pub mod reorder;
 pub mod transform;
 
 use qoz_codec::stream::{self, Compressor, CompressorId, ErrorBound, Header};
-use qoz_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Result};
+use qoz_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Result, Scratch};
 use qoz_tensor::{NdArray, Region, Scalar, Shape, MAX_NDIM};
 
 /// Block side length (fixed at 4, as in ZFP).
@@ -52,9 +52,19 @@ impl Zfp {
             PRECISION_F64
         }
     }
+}
 
-    /// Typed compression entry point.
-    pub fn compress_typed<T: Scalar>(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
+impl<T: Scalar> Compressor<T> for Zfp {
+    fn id(&self) -> CompressorId {
+        CompressorId::Zfp
+    }
+
+    fn compress_with_scratch(
+        &self,
+        data: &NdArray<T>,
+        bound: ErrorBound,
+        _scratch: &mut Scratch<T>,
+    ) -> Vec<u8> {
         let abs_eb = bound.absolute(data);
         let shape = data.shape();
         let nd = shape.ndim();
@@ -161,21 +171,15 @@ impl Zfp {
         w.finish()
     }
 
-    /// Typed decompression entry point.
-    pub fn decompress_typed<T: Scalar>(&self, blob: &[u8]) -> Result<NdArray<T>> {
+    fn decompress_into(
+        &self,
+        blob: &[u8],
+        _scratch: &mut Scratch<T>,
+        out: &mut NdArray<T>,
+    ) -> Result<()> {
         let mut r = ByteReader::new(blob);
-        let header = stream::read_header(&mut r)?;
-        if header.temporal.is_some() {
-            return Err(CodecError::Corrupt(
-                "temporal chain member needs chain decode",
-            ));
-        }
-        if header.compressor != CompressorId::Zfp {
-            return Err(CodecError::Corrupt("not a ZFP stream"));
-        }
-        if header.scalar_tag != T::TYPE_TAG {
-            return Err(CodecError::Corrupt("scalar type mismatch"));
-        }
+        let header =
+            stream::check_stream_header::<T>(&mut r, CompressorId::Zfp, "not a ZFP stream")?;
         let shape = header.shape;
         let nd = shape.ndim();
         let n = BLOCK_SIDE.pow(nd as u32);
@@ -192,12 +196,12 @@ impl Zfp {
             return Err(CodecError::UnexpectedEof);
         }
         let blocks = Region::tile(shape, BLOCK_SIDE);
-        let mut out = NdArray::<T>::zeros(shape);
+        out.reset_zeros(shape);
         let mut ints = vec![0i64; n];
         for (region, &tag) in blocks.iter().zip(tags.iter()) {
             match tag {
                 BLOCK_ZERO => { /* already zeros */ }
-                BLOCK_RAW => read_raw(&mut out, region, &mut raw_r)?,
+                BLOCK_RAW => read_raw(out, region, &mut raw_r)?,
                 BLOCK_CODED => {
                     let e = bits.get_bits(16)? as i32 - 0x8000;
                     let k1 = bits.get_bits(6)? as u32;
@@ -216,12 +220,12 @@ impl Zfp {
                     }
                     transform::inverse(&mut ints, nd);
                     let scale = 2f64.powi(prec - e);
-                    scatter_block(&mut out, region, &ints, scale);
+                    scatter_block(out, region, &ints, scale);
                 }
                 _ => return Err(CodecError::Corrupt("bad block tag")),
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -325,18 +329,6 @@ fn scatter_block<T: Scalar>(out: &mut NdArray<T>, region: &Region, ints: &[i64],
     }
 }
 
-impl<T: Scalar> Compressor<T> for Zfp {
-    fn id(&self) -> CompressorId {
-        CompressorId::Zfp
-    }
-    fn compress(&self, data: &NdArray<T>, bound: ErrorBound) -> Vec<u8> {
-        self.compress_typed(data, bound)
-    }
-    fn decompress(&self, blob: &[u8]) -> Result<NdArray<T>> {
-        self.decompress_typed(blob)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,8 +342,8 @@ mod tests {
             for eps in [1e-2, 1e-4] {
                 let bound = ErrorBound::Rel(eps);
                 let abs = bound.absolute(&data);
-                let blob = Zfp.compress_typed(&data, bound);
-                let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+                let blob = Zfp.compress(&data, bound);
+                let recon: NdArray<f32> = Zfp.decompress(&blob).unwrap();
                 assert_eq!(
                     verify_error_bound(&data, &recon, abs),
                     None,
@@ -367,21 +359,21 @@ mod tests {
         let data = NdArray::from_fn(Shape::d3(17, 18, 19), |i| {
             (i[0] as f64 * 0.3).sin() * (i[1] as f64 * 0.2).cos() + i[2] as f64 * 1e-3
         });
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-9));
-        let recon = Zfp.decompress_typed::<f64>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-9));
+        let recon: NdArray<f64> = Zfp.decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-9);
     }
 
     #[test]
     fn zero_blocks_cost_almost_nothing() {
         let data = NdArray::<f32>::zeros(Shape::d2(64, 64));
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3));
         assert!(
             blob.len() < 200,
             "all-zero input should be tiny: {}",
             blob.len()
         );
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let recon: NdArray<f32> = Zfp.decompress(&blob).unwrap();
         assert!(recon.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -390,8 +382,8 @@ mod tests {
         let mut data = NdArray::from_fn(Shape::d2(8, 8), |i| (i[0] + i[1]) as f32);
         data.as_mut_slice()[5] = f32::NAN;
         data.as_mut_slice()[37] = f32::NEG_INFINITY;
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3));
+        let recon: NdArray<f32> = Zfp.decompress(&blob).unwrap();
         assert!(recon.as_slice()[5].is_nan());
         assert_eq!(recon.as_slice()[37], f32::NEG_INFINITY);
         for (a, b) in data.as_slice().iter().zip(recon.as_slice()) {
@@ -404,33 +396,33 @@ mod tests {
     #[test]
     fn partial_edge_blocks_roundtrip() {
         let data = NdArray::from_fn(Shape::d2(9, 11), |i| (i[0] * 11 + i[1]) as f32 * 0.37);
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-2));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-2));
+        let recon: NdArray<f32> = Zfp.decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-2);
     }
 
     #[test]
     fn loose_bound_compresses_better_than_tight() {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
-        let loose = Zfp.compress_typed(&data, ErrorBound::Rel(1e-2)).len();
-        let tight = Zfp.compress_typed(&data, ErrorBound::Rel(1e-5)).len();
+        let loose = Zfp.compress(&data, ErrorBound::Rel(1e-2)).len();
+        let tight = Zfp.compress(&data, ErrorBound::Rel(1e-5)).len();
         assert!(loose < tight, "loose {loose} vs tight {tight}");
     }
 
     #[test]
     fn truncated_stream_rejected() {
         let data = NdArray::from_fn(Shape::d1(64), |i| (i[0] as f32).sqrt());
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-3));
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-3));
         for cut in [4, blob.len() / 2] {
-            assert!(Zfp.decompress_typed::<f32>(&blob[..cut]).is_err());
+            assert!(Compressor::<f32>::decompress(&Zfp, &blob[..cut]).is_err());
         }
     }
 
     #[test]
     fn one_dimensional_roundtrip() {
         let data = NdArray::from_fn(Shape::d1(101), |i| ((i[0] as f32) * 0.11).sin());
-        let blob = Zfp.compress_typed(&data, ErrorBound::Abs(1e-4));
-        let recon = Zfp.decompress_typed::<f32>(&blob).unwrap();
+        let blob = Zfp.compress(&data, ErrorBound::Abs(1e-4));
+        let recon: NdArray<f32> = Zfp.decompress(&blob).unwrap();
         assert!(data.max_abs_diff(&recon) <= 1e-4);
     }
 }

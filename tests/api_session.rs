@@ -6,8 +6,8 @@
 //! crate docs): bounds are hard; PSNR/SSIM targets are met or exceeded
 //! when reachable; ratio targets land within ±50% worst case.
 
-use qoz_suite::api::{BackendId, BackendRegistry, Session};
-use qoz_suite::codec::ErrorBound;
+use qoz_suite::api::{ApiError, BackendId, BackendRegistry, Session};
+use qoz_suite::codec::{CodecError, ErrorBound};
 use qoz_suite::datagen::{Dataset, SizeClass};
 use qoz_suite::metrics;
 use qoz_suite::tensor::NdArray;
@@ -121,6 +121,26 @@ fn streaming_and_buffered_paths_are_byte_identical() {
     let mut sink = Vec::new();
     session.compress_into(&data, &mut sink).unwrap();
     assert_eq!(sink, out.blob, "quality-target compress_into diverged");
+    // A sink that refuses every write surfaces as a typed I/O error,
+    // not a panic.
+    let session = Session::builder()
+        .bound(ErrorBound::Rel(1e-3))
+        .build()
+        .unwrap();
+    let err = session.compress_into(&data, &mut FailingSink).unwrap_err();
+    assert!(matches!(err, ApiError::Codec(CodecError::Io(_))), "{err:?}");
+}
+
+/// A sink whose every write fails, like a full disk.
+struct FailingSink;
+
+impl std::io::Write for FailingSink {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::Error::other("disk full"))
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[test]

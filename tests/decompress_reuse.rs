@@ -52,23 +52,26 @@ fn scratch_decode_identical_to_allocating_for_every_backend() {
             .bound(ErrorBound::Rel(1e-3))
             .build()
             .unwrap();
-        // f32: allocating vs with-scratch vs into-destination.
+        // f32: allocating vs into a fresh destination vs into a reused
+        // destination through a warm arena.
         let blob = session.compress(&data32).unwrap().blob;
         let cold: NdArray<f32> = reg.decompress(&blob).unwrap();
         let mut scratch = Scratch::<f32>::new();
-        let warm = reg.decompress_with_scratch(&blob, &mut scratch).unwrap();
-        assert_eq!(cold.as_slice(), warm.as_slice(), "{backend:?} f32");
         let mut dest = NdArray::<f32>::zeros(Shape::d1(1));
         reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
         assert_eq!(dest.shape(), cold.shape(), "{backend:?} f32 into-shape");
         assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f32 into");
+        reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
+        assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f32 warm");
 
         // f64 through the same machinery.
         let blob = session.compress(&data64).unwrap().blob;
         let cold: NdArray<f64> = reg.decompress(&blob).unwrap();
         let mut scratch = Scratch::<f64>::new();
-        let warm = reg.decompress_with_scratch(&blob, &mut scratch).unwrap();
-        assert_eq!(cold.as_slice(), warm.as_slice(), "{backend:?} f64");
+        let mut dest = NdArray::<f64>::zeros(Shape::d1(1));
+        reg.decompress_into(&blob, &mut scratch, &mut dest).unwrap();
+        assert_eq!(dest.shape(), cold.shape(), "{backend:?} f64 into-shape");
+        assert_eq!(cold.as_slice(), dest.as_slice(), "{backend:?} f64 into");
     }
 }
 

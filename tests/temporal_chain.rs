@@ -13,7 +13,7 @@
 
 use qoz_suite::api::{Session, TemporalMode};
 use qoz_suite::archive::{snapshot_name, ArchiveAppender, ArchiveReader, ArchiveWriter};
-use qoz_suite::codec::{ErrorBound, Scratch};
+use qoz_suite::codec::{Compressor, ErrorBound, Scratch};
 use qoz_suite::datagen;
 use qoz_suite::qoz::PlanCache;
 use qoz_suite::temporal::TemporalSession;
@@ -208,7 +208,7 @@ fn decoding_reference<T: Scalar>(session: &Session, snaps: &[NdArray<T>]) -> Vec
                         let (plan, _) = qoz.plan_cached(field, bound, &mut cache);
                         qoz.compress_with_plan_scratched(field, &plan, &mut scratch)
                     },
-                    |inner| qoz.decompress_typed(inner),
+                    |inner| qoz.decompress(inner),
                 )
                 .unwrap()
                 .1
