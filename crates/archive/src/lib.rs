@@ -10,7 +10,7 @@
 //! *independent* `qoz_codec::stream` blob.
 //!
 //! * [`ArchiveWriter`] compresses chunks in parallel (through
-//!   `qoz_pario`'s disjoint-slab workers) with any [`Compressor`](qoz_codec::Compressor)
+//!   `qoz_pario`'s chunk-claiming workers) with any [`Compressor`](qoz_codec::Compressor)
 //!   backend and emits the container;
 //! * [`ArchiveReader`] answers `read_region` queries by fetching and
 //!   decompressing only the chunks that intersect the request, stitches

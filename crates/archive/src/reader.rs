@@ -281,7 +281,7 @@ impl<S: ByteSource> ArchiveReader<S> {
     ///
     /// Intersecting chunk blobs are fetched and checksum-verified one
     /// positioned read at a time, then decompressed in parallel through
-    /// `qoz_pario`'s disjoint-slab workers — chunks are independent
+    /// `qoz_pario`'s chunk-claiming workers — chunks are independent
     /// streams, so region queries and bulk loads scale with cores the
     /// same way bulk dumps do. The result is a dense array of the
     /// region's size, bitwise equal to slicing the same region out of a

@@ -15,7 +15,7 @@ pub const DEFAULT_CHUNK_SIDE: usize = 32;
 ///
 /// Each variable is split into a `Region::tile` chunk grid; chunks are
 /// compressed *independently* (so readers can fetch any subset) and in
-/// parallel via `qoz_pario`'s disjoint-slab workers. A relative error
+/// parallel via `qoz_pario`'s chunk-claiming workers. A relative error
 /// bound is resolved against the **whole** variable once, so every
 /// chunk honors the same absolute bound the monolithic stream would —
 /// chunking never changes the error contract.

@@ -136,26 +136,6 @@ impl<'a> BitReader<'a> {
         w << (self.pos & 7)
     }
 
-    /// Look at the next `n` bits (1..=57) without consuming them,
-    /// right-aligned. Bits past the end of the buffer read as zero; pair
-    /// with [`BitReader::remaining_bits`] before trusting the tail.
-    #[inline]
-    pub fn peek_bits(&self, n: u32) -> u64 {
-        debug_assert!((1..=57).contains(&n), "peek_bits supports 1..=57 bits");
-        self.peek_word() >> (64 - n)
-    }
-
-    /// Advance the cursor by `n` bits. The caller must have checked
-    /// `remaining_bits() >= n` — violating that is a bug (asserted in
-    /// debug builds); release builds clamp the cursor to the end of the
-    /// buffer as a safety net, so subsequent reads report EOF instead of
-    /// panicking inside [`BitReader::peek_bits`].
-    #[inline]
-    pub fn consume(&mut self, n: u32) {
-        debug_assert!(self.remaining_bits() >= n as usize);
-        self.pos = (self.pos + n as usize).min(self.buf.len() * 8);
-    }
-
     /// Read `n` bits into the low bits of a `u64`, MSB-first.
     #[inline]
     pub fn get_bits(&mut self, n: u32) -> Result<u64> {

@@ -4,8 +4,10 @@
 //! code lengths are derived from symbol frequencies with the classic
 //! two-queue construction, then codes are assigned canonically
 //! (shorter-first, then by symbol value) so only the `(symbol, length)`
-//! table needs to be serialized. Decoding uses the canonical
-//! first-code/offset tables — O(length) per symbol with tiny memory.
+//! table needs to be serialized. Decoding keeps the next payload bits
+//! in a 64-bit buffer and resolves codes of up to 11 bits with one
+//! probe of a 2^11-entry prefix table; longer codes walk the canonical
+//! first-code/offset tables, O(length) per symbol.
 //!
 //! Degenerate inputs (empty stream, single distinct symbol) are handled
 //! explicitly; over-long codes (> [`MAX_CODE_LEN`]) are prevented by
@@ -410,8 +412,9 @@ const PRIMARY_BITS: u32 = 11;
 /// Decoder over a serialized canonical Huffman stream.
 ///
 /// Short codes (≤ `PRIMARY_BITS`) decode with one probe of a dense
-/// prefix table fed by a 64-bit peek; longer codes fall back to the
-/// canonical per-length first-code/offset walk (`O(length)` per symbol).
+/// prefix table fed by a 64-bit bit buffer; longer codes fall back to
+/// the canonical per-length first-code/offset walk (`O(length)` per
+/// symbol).
 #[derive(Debug)]
 pub struct HuffmanDecoder {
     /// Symbols sorted by (length, symbol) — canonical order.
@@ -545,20 +548,10 @@ impl HuffmanDecoder {
         );
         scratch.coded = coded;
         let decoder = decoder?;
-        let mut bits = BitReader::new(payload);
         scratch.grows.check(out.capacity(), n_symbols);
         out.clear();
         out.reserve(n_symbols);
-        let mut res = Ok(());
-        for _ in 0..n_symbols {
-            match decoder.decode_one(&mut bits) {
-                Ok(sym) => out.push(sym),
-                Err(e) => {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
+        let res = decoder.decode_payload(payload, n_symbols, out);
         // Hand the decoder tables back even when the payload was corrupt,
         // so repeated failing decodes don't degrade the arena.
         let HuffmanDecoder {
@@ -569,21 +562,63 @@ impl HuffmanDecoder {
         res
     }
 
-    /// Decode a single symbol from a bit stream.
-    #[inline]
-    fn decode_one(&self, bits: &mut BitReader) -> Result<u32> {
-        // Fast path: one probe resolves any code of length <= PRIMARY_BITS.
-        // The peek zero-pads past the end of the buffer, so a hit is only
-        // trusted when the stream really holds that many bits; everything
-        // else (long codes, EOF, corrupt prefixes) takes the exact slow
-        // path below.
-        let entry = self.primary[bits.peek_bits(PRIMARY_BITS) as usize];
-        let len = (entry & 0xFF) as u32;
-        if len != 0 && len as usize <= bits.remaining_bits() {
-            bits.consume(len);
-            return Ok((entry >> 8) as u32);
+    /// Decode `n` symbols of `payload` into `out`.
+    ///
+    /// The next 32–64 payload bits sit MSB-first in a `u64`, refilled
+    /// from 8-byte big-endian loads while at least 8 payload bytes are
+    /// left to load, so a primary-table hit costs one probe and a shift.
+    /// A table miss (a code longer than `PRIMARY_BITS`, or an invalid
+    /// prefix) and every symbol in the last < 8 bytes go through
+    /// [`HuffmanDecoder::decode_one_slow`] from the same cursor, so
+    /// corrupt and truncated payloads fail exactly as that walk does.
+    fn decode_payload(&self, payload: &[u8], n: usize, out: &mut Vec<u32>) -> Result<()> {
+        let load = |at: usize| {
+            u64::from_be_bytes(payload[at..at + 8].try_into().expect("an 8-byte slice"))
+        };
+        // Bit cursor: where the next symbol starts.
+        let mut pos = 0usize;
+        while out.len() < n && payload.len() - (pos >> 3) >= 8 {
+            // The top `avail` bits of `buf` are payload bits
+            // `[next * 8 - avail, next * 8)`. The bits below them are the
+            // ones that follow (or zero), so a refill ORs equal bits.
+            let skip = (pos & 7) as u32;
+            let mut buf = load(pos >> 3) << skip;
+            let mut next = (pos >> 3) + 8;
+            let mut avail = 64 - skip;
+            let mut miss = false;
+            while out.len() < n {
+                if avail < 32 {
+                    if payload.len() - next < 8 {
+                        break;
+                    }
+                    buf |= load(next) >> avail;
+                    let take = (63 - avail) >> 3;
+                    next += take as usize;
+                    avail += take << 3;
+                }
+                let entry = self.primary[(buf >> (64 - PRIMARY_BITS)) as usize];
+                let len = (entry & 0xFF) as u32;
+                if len == 0 {
+                    miss = true;
+                    break;
+                }
+                out.push((entry >> 8) as u32);
+                buf <<= len;
+                avail -= len;
+            }
+            pos = next * 8 - avail as usize;
+            if !miss {
+                break;
+            }
+            let mut bits = reader_at(payload, pos)?;
+            out.push(self.decode_one_slow(&mut bits)?);
+            pos = payload.len() * 8 - bits.remaining_bits();
         }
-        self.decode_one_slow(bits)
+        let mut bits = reader_at(payload, pos)?;
+        while out.len() < n {
+            out.push(self.decode_one_slow(&mut bits)?);
+        }
+        Ok(())
     }
 
     /// Reference bit-by-bit canonical decode (the pre-table
@@ -605,6 +640,13 @@ impl HuffmanDecoder {
         }
         Err(CodecError::Corrupt("Huffman code too long"))
     }
+}
+
+/// A bit reader over `payload` with its cursor at bit `pos`.
+fn reader_at(payload: &[u8], pos: usize) -> Result<BitReader<'_>> {
+    let mut bits = BitReader::new(&payload[pos >> 3..]);
+    bits.get_bits((pos & 7) as u32)?;
+    Ok(bits)
 }
 
 #[cfg(test)]
@@ -718,96 +760,176 @@ mod tests {
         x ^ (x >> 31)
     }
 
-    /// Table-driven fast decode must agree with the bit-by-bit canonical
-    /// walk on every code-length mix, especially around the
-    /// PRIMARY_BITS boundary and at MAX_CODE_LEN.
-    #[test]
-    fn fast_decode_matches_slow_on_adversarial_lengths() {
-        // Each mix is a (length, how-many) multiset chosen so the Kraft
-        // sum is exactly one (verified below in exact integer arithmetic).
-        let mixes: [&[(u32, usize)]; 4] = [
+    /// Code-length mixes `(length, how many)`, each with a Kraft sum of
+    /// exactly one (verified in the tests in exact integer arithmetic).
+    fn adversarial_mixes() -> Vec<Vec<(u32, usize)>> {
+        vec![
             // One code of every length 1..=31, two of length 32.
-            &(1..=31)
-                .map(|l| (l, 1))
-                .chain([(32, 2)])
-                .collect::<Vec<_>>(),
+            (1..=31).map(|l| (l, 1)).chain([(32, 2)]).collect(),
             // Chain 1..=10, then the remainder as length-12 codes:
             // straddles the primary/fallback boundary.
-            &(1..=10)
-                .map(|l| (l, 1))
-                .chain([(12, 4)])
-                .collect::<Vec<_>>(),
+            (1..=10).map(|l| (l, 1)).chain([(12, 4)]).collect(),
             // Saturated primary table: every code exactly PRIMARY_BITS.
-            &[(11, 2048)],
+            vec![(11, 2048)],
             // Uniform just past the boundary: all codes miss the table.
-            &[(13, 8192)],
-        ];
-        for (mi, mix) in mixes.iter().enumerate() {
+            vec![(13, 8192)],
+            // Chain 1..=19, then two codes of 20: the stream tail of
+            // `mix_stream` puts codes of 12..=15 bits, 54 in all, in the
+            // last 8 payload bytes.
+            (1..=19).map(|l| (l, 1)).chain([(20, 2)]).collect(),
+        ]
+    }
+
+    /// A mix's `(symbol, length)` entries, with distinct, non-contiguous
+    /// symbol values.
+    fn mix_entries(mix: &[(u32, usize)]) -> Vec<(u32, u32)> {
+        let mut entries = Vec::new();
+        for &(len, n) in mix {
+            for _ in 0..n {
+                entries.push((entries.len() as u32 * 7 + 3, len));
+            }
+        }
+        entries
+    }
+
+    /// `count` pseudorandom codes of a mix, then its first code of each
+    /// length 12..=15 it has.
+    fn mix_stream(seed: u64, coded: &[(u32, u32, u64)], count: usize) -> Vec<(u32, u32, u64)> {
+        let mut picks: Vec<_> = (0..count as u64)
+            .map(|i| coded[(splitmix64(i * 31 + seed) % coded.len() as u64) as usize])
+            .collect();
+        for len in 12..=15 {
+            picks.extend(coded.iter().find(|c| c.1 == len));
+        }
+        picks
+    }
+
+    /// The payload bits of `codes`, back to back.
+    fn pack(codes: &[(u32, u32, u64)]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        for &(_, len, code) in codes {
+            w.put_bits(code, len);
+        }
+        w.finish()
+    }
+
+    /// Serialize `n` symbols over `payload` with the code table
+    /// `entries` and decode them through [`HuffmanDecoder::decode_with`]:
+    /// the symbols it produced, and its result.
+    fn decode_stream(entries: &[(u32, u32)], n: usize, payload: &[u8]) -> (Vec<u32>, Result<()>) {
+        let mut w = ByteWriter::new();
+        w.put_varint(entries.len() as u64);
+        for &(sym, len) in entries {
+            w.put_varint(sym as u64);
+            w.put_u8(len as u8);
+        }
+        w.put_varint(n as u64);
+        w.put_len_prefixed(payload);
+        let buf = w.finish();
+        let mut out = Vec::new();
+        let res = HuffmanDecoder::decode_with(
+            &mut ByteReader::new(&buf),
+            &mut HuffmanScratch::new(),
+            &mut out,
+        );
+        (out, res)
+    }
+
+    /// The oracle: `n` [`HuffmanDecoder::decode_one_slow`] calls from
+    /// the start of `payload`, stopping at the first error.
+    fn slow_loop(dec: &HuffmanDecoder, payload: &[u8], n: usize) -> (Vec<u32>, Result<()>) {
+        let mut bits = BitReader::new(payload);
+        let mut out = Vec::new();
+        for _ in 0..n {
+            match dec.decode_one_slow(&mut bits) {
+                Ok(sym) => out.push(sym),
+                Err(e) => return (out, Err(e)),
+            }
+        }
+        (out, Ok(()))
+    }
+
+    /// The buffered decode loop must agree with the bit-by-bit canonical
+    /// walk, symbol for symbol, on every code-length mix: around the
+    /// PRIMARY_BITS boundary, at MAX_CODE_LEN, with long codes in the
+    /// last 8 payload bytes, and on payloads shorter than 8 bytes.
+    #[test]
+    fn fast_decode_matches_slow_on_adversarial_lengths() {
+        for (mi, mix) in adversarial_mixes().iter().enumerate() {
             let kraft: u64 = mix
                 .iter()
                 .map(|&(l, n)| (n as u64) << (MAX_CODE_LEN + 8 - l))
                 .sum();
             assert_eq!(kraft, 1u64 << (MAX_CODE_LEN + 8), "mix {mi} not complete");
-
-            // Distinct, non-contiguous symbol values.
-            let mut entries = Vec::new();
-            for &(len, n) in mix.iter() {
-                for _ in 0..n {
-                    entries.push((entries.len() as u32 * 7 + 3, len));
-                }
-            }
+            let entries = mix_entries(mix);
             let coded = canonical_codes(entries.clone());
-
-            // Pseudorandom symbol stream encoded with the canonical codes.
-            let mut w = BitWriter::new();
-            let mut expect = Vec::new();
-            for i in 0..4000u64 {
-                let &(sym, len, code) =
-                    &coded[(splitmix64(i * 31 + mi as u64) % coded.len() as u64) as usize];
-                expect.push(sym);
-                w.put_bits(code, len);
-            }
-            let payload = w.finish();
-
-            let dec = HuffmanDecoder::from_entries(entries).unwrap();
-            let mut fast = BitReader::new(&payload);
-            let mut slow = BitReader::new(&payload);
-            for (i, &want) in expect.iter().enumerate() {
-                let a = dec.decode_one(&mut fast).unwrap();
-                let b = dec.decode_one_slow(&mut slow).unwrap();
-                assert_eq!(a, b, "mix {mi}: divergence at symbol {i}");
-                assert_eq!(a, want, "mix {mi}: wrong symbol at {i}");
+            let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
+            let stream = mix_stream(mi as u64, &coded, 4000);
+            // Every prefix of up to 24 symbols (payloads from empty to
+            // past the 8-byte fast-path threshold), then the whole stream.
+            for k in (0..=24).chain([stream.len()]) {
+                let payload = pack(&stream[..k]);
+                let want: Vec<u32> = stream[..k].iter().map(|c| c.0).collect();
+                let oracle = slow_loop(&dec, &payload, k);
+                assert_eq!(oracle, (want, Ok(())), "mix {mi}: oracle, {k} symbols");
                 assert_eq!(
-                    fast.remaining_bits(),
-                    slow.remaining_bits(),
-                    "mix {mi}: cursor divergence at {i}"
+                    decode_stream(&entries, k, &payload),
+                    oracle,
+                    "mix {mi}: {k} symbols"
                 );
             }
         }
     }
 
-    /// Truncation mid-code must error identically through both paths.
+    /// Truncated and corrupt payloads must fail through `decode_with`
+    /// after the same symbols, and with the same error, as the oracle.
     #[test]
     fn fast_decode_eof_matches_slow() {
+        // `decode_with` refuses a count the payload cannot hold before
+        // decoding anything, so each check asks for at most 8 per byte.
+        // Returns whether the oracle decoded every symbol asked for.
+        let check = |dec: &HuffmanDecoder, entries: &[(u32, u32)], n: usize, payload: &[u8]| {
+            let n = n.min(payload.len() * 8);
+            let oracle = slow_loop(dec, payload, n);
+            assert_eq!(decode_stream(entries, n, payload), oracle, "{n} symbols");
+            oracle.1.is_ok()
+        };
+        // Every code of a 1..=10 chain once, cut at every byte.
         let entries: Vec<(u32, u32)> = (1..=10).map(|l| (l * 11, l)).chain([(121, 10)]).collect();
         let coded = canonical_codes(entries.clone());
-        let mut w = BitWriter::new();
-        for &(_, len, code) in coded.iter() {
-            w.put_bits(code, len);
-        }
-        let payload = w.finish();
-        let dec = HuffmanDecoder::from_entries(entries).unwrap();
+        let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
+        let payload = pack(&coded);
         for cut in 0..payload.len() {
-            let mut fast = BitReader::new(&payload[..cut]);
-            let mut slow = BitReader::new(&payload[..cut]);
-            loop {
-                let a = dec.decode_one(&mut fast);
-                let b = dec.decode_one_slow(&mut slow);
-                assert_eq!(a, b, "cut {cut}");
-                if a.is_err() {
-                    break;
-                }
+            check(&dec, &entries, coded.len(), &payload[..cut]);
+        }
+        // 200 symbols of each mix, ending in its long codes, cut at
+        // every byte: the cut falls inside the buffered run, at its
+        // boundary and in the slow tail.
+        for (mi, mix) in adversarial_mixes().iter().enumerate() {
+            let entries = mix_entries(mix);
+            let coded = canonical_codes(entries.clone());
+            let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
+            let stream = mix_stream(mi as u64 + 7, &coded, 200);
+            let payload = pack(&stream);
+            for cut in 0..payload.len() {
+                let ok = check(&dec, &entries, stream.len(), &payload[..cut]);
+                // Once the count check lets the whole count through, the
+                // cut itself must be what fails.
+                assert!(
+                    !ok || stream.len() > cut * 8,
+                    "mix {mi}: cut {cut} unnoticed"
+                );
             }
+            assert!(check(&dec, &entries, stream.len(), &payload), "mix {mi}");
+        }
+        // An incomplete code over pseudorandom bytes: invalid prefixes
+        // fail as over-long codes, and long codes miss the table, both
+        // inside the buffered run and in the tail.
+        let entries = [(5, 2), (6, 3), (7, 9), (8, 12)];
+        let dec = HuffmanDecoder::from_entries(entries.to_vec()).unwrap();
+        for len in 0..48u64 {
+            let payload: Vec<u8> = (0..len).map(|i| splitmix64(len * 1000 + i) as u8).collect();
+            check(&dec, &entries, payload.len() * 8, &payload);
         }
     }
 

@@ -59,9 +59,12 @@ pub fn psnr<T: Scalar>(original: &NdArray<T>, recon: &NdArray<T>) -> f64 {
     20.0 * (range / m.sqrt()).log10()
 }
 
-/// Check the hard error-bound contract: every finite point must satisfy
-/// `|x - x'| <= bound` (within 4 ULP-ish slack for accumulated f64
-/// rounding). Returns the first violating linear index if any.
+/// Check the hard error-bound contract: every point whose original `x`
+/// is finite must reconstruct to a finite `x'` with `|x - x'| <= bound`,
+/// plus a slack of `bound·1e-12` for the f64 rounding of the check
+/// itself. A finite input decoded as NaN or ±Inf is a violation. Points
+/// whose original is NaN or ±Inf are skipped: no bound applies to them.
+/// Returns the first violating linear index if any.
 pub fn verify_error_bound<T: Scalar>(
     original: &NdArray<T>,
     recon: &NdArray<T>,
@@ -74,7 +77,7 @@ pub fn verify_error_bound<T: Scalar>(
         .iter()
         .zip(recon.as_slice())
         .position(|(a, b)| {
-            a.is_finite() && b.is_finite() && (a.to_f64() - b.to_f64()).abs() > bound + slack
+            a.is_finite() && !(b.is_finite() && (a.to_f64() - b.to_f64()).abs() <= bound + slack)
         })
 }
 
@@ -163,6 +166,15 @@ mod tests {
         let a = NdArray::from_vec(Shape::d1(3), vec![f64::NAN, 1.0, 2.0]);
         let b = NdArray::from_vec(Shape::d1(3), vec![0.0, 1.0, 2.0]);
         assert_eq!(verify_error_bound(&a, &b, 1e-6), None);
+    }
+
+    #[test]
+    fn verify_bound_flags_non_finite_reconstruction() {
+        let a = NdArray::from_vec(Shape::d1(4), vec![1.0f32, 2.0, 3.0, 4.0]);
+        let b = NdArray::from_vec(Shape::d1(4), vec![1.0f32, f32::NAN, 3.0, f32::INFINITY]);
+        assert_eq!(verify_error_bound(&a, &b, 1e-3), Some(1));
+        let b = NdArray::from_vec(Shape::d1(4), vec![1.0f32, 2.0, 3.0, f32::INFINITY]);
+        assert_eq!(verify_error_bound(&a, &b, 1e-3), Some(3));
     }
 
     #[test]

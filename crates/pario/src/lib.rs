@@ -7,7 +7,7 @@
 //! ingredients separately (documented substitution, `DESIGN.md` §3):
 //!
 //! * [`parallel`] — real thread-parallel per-rank compression over array
-//!   chunks (crossbeam scoped threads; ranks are independent exactly as
+//!   chunks (scoped threads; ranks are independent exactly as
 //!   MPI ranks are),
 //! * [`iomodel`] — an analytic shared-bandwidth model: aggregate link
 //!   bandwidth grows with rank count until the filesystem backbone

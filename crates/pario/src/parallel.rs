@@ -1,24 +1,26 @@
 //! Thread-parallel per-rank compression.
 //!
-//! Chunks are statically partitioned into contiguous slabs, one per
-//! worker (crossbeam scoped threads — no `'static` bound needed). Each
-//! worker owns a disjoint `&mut` slice of the output vector, so results
-//! land in place without any per-chunk locking, and chunk order — the
-//! serial-equals-parallel determinism invariant — is preserved by
-//! construction. Chunks are near-equal sized (see [`chunk_along_dim0`]),
-//! which keeps the static split balanced.
+//! Workers claim the next chunk index from a shared counter until none
+//! are left, so a slow chunk never idles the rest. The calling thread is
+//! one of them: a call spawns `min(threads, chunks) − 1` scoped threads
+//! (`std::thread::scope`, no `'static` bound needed) and none for a
+//! single chunk. Each worker hands its `(index, result)` pairs back
+//! through its join, and results land by index, so chunk order — the
+//! serial-equals-parallel determinism invariant — and the first error
+//! by index hold whatever the interleaving.
 //!
-//! Each worker owns one [`Scratch`] arena for its whole slab — on both
-//! directions of the pipeline — so stage buffers (working copy, bins,
-//! side streams, entropy staging) are allocated once per worker rather
-//! than once per chunk: the archive writer's many-chunk variables ride
-//! the compress slabs, the archive reader's region queries ride the
-//! decode slabs. Scratch never changes bytes or decoded values, so the
-//! serial-equals-parallel invariant is untouched.
+//! Each worker owns one [`Scratch`] arena for every chunk it claims — on
+//! both directions of the pipeline — so stage buffers (working copy,
+//! bins, side streams, entropy staging) are allocated once per worker
+//! rather than once per chunk: the archive writer's many-chunk variables
+//! ride the compress workers, the archive reader's region queries ride
+//! the decode workers. Scratch never changes bytes or decoded values, so
+//! the serial-equals-parallel invariant is untouched.
 
 use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_codec::{Result, Scratch};
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Split an array into `n` near-equal chunks along dimension 0 (the
 /// usual HPC domain decomposition). Returns fewer chunks when dim 0 is
@@ -44,6 +46,49 @@ pub fn chunk_along_dim0<T: Scalar>(data: &NdArray<T>, n: usize) -> Vec<NdArray<T
     out
 }
 
+/// Run `work` on every index in `0..n` with up to `threads` workers,
+/// the calling thread among them, and return the results in index order.
+/// Each worker passes one [`Scratch`] to every index it claims.
+fn claim_each<T, R>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize, &mut Scratch<T>) -> R + Sync,
+) -> Vec<R>
+where
+    T: Scalar,
+    R: Send,
+{
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut scratch = Scratch::new();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; the results
+            // travel back through the join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, work(i, &mut scratch)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads.min(n)).map(|_| s.spawn(worker)).collect();
+        let mine = worker();
+        let theirs = spawned
+            .into_iter()
+            .flat_map(|h| h.join().expect("chunk worker panicked"));
+        for (i, r) in mine.into_iter().chain(theirs) {
+            slots[i] = Some(r);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index is claimed once"))
+        .collect()
+}
+
 /// Compress every chunk with `threads` workers; returns blobs in chunk
 /// order.
 pub fn compress_chunks<T, C>(
@@ -56,28 +101,9 @@ where
     T: Scalar,
     C: Compressor<T> + ?Sized,
 {
-    if chunks.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(chunks.len());
-    let per = chunks.len().div_ceil(threads);
-    let mut results: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-
-    crossbeam::scope(|s| {
-        for (out_slab, in_slab) in results.chunks_mut(per).zip(chunks.chunks(per)) {
-            s.spawn(move |_| {
-                // One arena per worker: reused across every chunk of the
-                // slab, byte-identical to the scratchless path.
-                let mut scratch = Scratch::new();
-                for (out, chunk) in out_slab.iter_mut().zip(in_slab) {
-                    *out = compressor.compress_with_scratch(chunk, bound, &mut scratch);
-                }
-            });
-        }
+    claim_each(chunks.len(), threads, |i, scratch| {
+        compressor.compress_with_scratch(&chunks[i], bound, scratch)
     })
-    .expect("compression worker panicked");
-
-    results
 }
 
 /// Compress every chunk with `threads` workers and stream the blobs, in
@@ -112,7 +138,7 @@ where
 }
 
 /// Decompress every blob with `threads` workers; returns arrays in blob
-/// order, or the first error encountered.
+/// order, or the error of the first failing blob.
 pub fn decompress_chunks<T, C>(
     compressor: &C,
     blobs: &[Vec<u8>],
@@ -122,38 +148,16 @@ where
     T: Scalar,
     C: Compressor<T> + ?Sized,
 {
-    if blobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = threads.max(1).min(blobs.len());
-    let per = blobs.len().div_ceil(threads);
-    let mut results: Vec<Option<Result<NdArray<T>>>> = (0..blobs.len()).map(|_| None).collect();
-
-    crossbeam::scope(|s| {
-        for (out_slab, in_slab) in results.chunks_mut(per).zip(blobs.chunks(per)) {
-            s.spawn(move |_| {
-                // One arena per worker, mirroring `compress_chunks`:
-                // the decode slab reuses its stage buffers across every
-                // blob. Each chunk decodes into its own array, grown
-                // only once its payload agrees with its header.
-                let mut scratch = Scratch::new();
-                for (out, blob) in out_slab.iter_mut().zip(in_slab) {
-                    let mut chunk = NdArray::zeros(Shape::d1(1));
-                    *out = Some(
-                        compressor
-                            .decompress_into(blob, &mut scratch, &mut chunk)
-                            .map(|()| chunk),
-                    );
-                }
-            });
-        }
+    // Each chunk decodes into its own array, grown only once its
+    // payload agrees with its header.
+    claim_each(blobs.len(), threads, |i, scratch| {
+        let mut chunk = NdArray::zeros(Shape::d1(1));
+        compressor
+            .decompress_into(&blobs[i], scratch, &mut chunk)
+            .map(|()| chunk)
     })
-    .expect("decompression worker panicked");
-
-    results
-        .into_iter()
-        .map(|m| m.expect("missing chunk result"))
-        .collect()
+    .into_iter()
+    .collect()
 }
 
 /// Reassemble chunks produced by [`chunk_along_dim0`].
@@ -209,28 +213,35 @@ mod tests {
     #[test]
     fn parallel_roundtrip_matches_serial() {
         let d = data();
-        let chunks = chunk_along_dim0(&d, 6);
         let bound = ErrorBound::Abs(1e-3);
         let c = qoz_sz3::Sz3::default();
+        for n in [1, 2, 3, 7] {
+            let chunks = chunk_along_dim0(&d, n);
+            // Serial reference.
+            let ser: Vec<Vec<u8>> = chunks.iter().map(|ch| c.compress(ch, bound)).collect();
+            let ser_recon: Vec<NdArray<f32>> =
+                ser.iter().map(|b| c.decompress(b).unwrap()).collect();
+            for threads in 1..=4 {
+                let par = compress_chunks(&c, &chunks, bound, threads);
+                assert_eq!(par, ser, "{n} chunks on {threads} threads: bytes differ");
+                let recon = decompress_chunks::<f32, _>(&c, &par, threads).unwrap();
+                assert_eq!(
+                    recon, ser_recon,
+                    "{n} chunks on {threads} threads: values differ"
+                );
+            }
+            assert!(d.max_abs_diff(&reassemble_dim0(&ser_recon)) <= 1e-3);
 
-        let par = compress_chunks(&c, &chunks, bound, 4);
-        // Serial reference.
-        let ser: Vec<Vec<u8>> = chunks.iter().map(|ch| c.compress(ch, bound)).collect();
-        assert_eq!(par, ser, "parallel compression must be deterministic");
-
-        // The streaming variant emits the same bytes, concatenated, and
-        // reports the split points.
-        let mut sink = Vec::new();
-        let lens = compress_chunks_into(&c, &chunks, bound, 4, &mut sink).unwrap();
-        assert_eq!(sink, par.concat());
-        assert_eq!(
-            lens,
-            par.iter().map(|b| b.len() as u64).collect::<Vec<u64>>()
-        );
-
-        let recon = decompress_chunks::<f32, _>(&c, &par, 4).unwrap();
-        let full = reassemble_dim0(&recon);
-        assert!(d.max_abs_diff(&full) <= 1e-3);
+            // The streaming variant emits the same bytes, concatenated,
+            // and reports the split points.
+            let mut sink = Vec::new();
+            let lens = compress_chunks_into(&c, &chunks, bound, 4, &mut sink).unwrap();
+            assert_eq!(sink, ser.concat());
+            assert_eq!(
+                lens,
+                ser.iter().map(|b| b.len() as u64).collect::<Vec<u64>>()
+            );
+        }
     }
 
     #[test]
@@ -250,10 +261,33 @@ mod tests {
     #[test]
     fn corrupt_blob_fails_cleanly() {
         let d = data();
-        let chunks = chunk_along_dim0(&d, 2);
+        let chunks = chunk_along_dim0(&d, 3);
         let c = qoz_sz3::Sz3::default();
-        let mut blobs = compress_chunks(&c, &chunks, ErrorBound::Abs(1e-3), 2);
+        let blobs = compress_chunks(&c, &chunks, ErrorBound::Abs(1e-3), 3);
+        let serial_err = |blob: &[u8]| c.decompress(blob).map(|_: NdArray<f32>| ()).unwrap_err();
+        // One corrupt blob first, in the middle or last.
+        for bad in 0..blobs.len() {
+            let mut blobs = blobs.clone();
+            blobs[bad].truncate(10);
+            for threads in 1..=4 {
+                let err = decompress_chunks::<f32, _>(&c, &blobs, threads).unwrap_err();
+                assert_eq!(
+                    err,
+                    serial_err(&blobs[bad]),
+                    "blob {bad} on {threads} threads"
+                );
+            }
+        }
+        // Two blobs corrupt in different ways: the lower index's error
+        // wins, whichever worker finished first.
+        let mut blobs = blobs;
         blobs[1].truncate(10);
-        assert!(decompress_chunks::<f32, _>(&c, &blobs, 2).is_err());
+        blobs[2] = vec![0; 64];
+        let first = serial_err(&blobs[1]);
+        assert_ne!(first, serial_err(&blobs[2]));
+        for threads in 1..=4 {
+            let err = decompress_chunks::<f32, _>(&c, &blobs, threads).unwrap_err();
+            assert_eq!(err, first, "{threads} threads");
+        }
     }
 }

@@ -141,14 +141,11 @@ impl<T: Scalar> NdArray<T> {
     pub fn extract_region(&self, region: &Region) -> NdArray<T> {
         region.validate(self.shape);
         let sub_shape = Shape::new(region.size());
+        let row = region.size()[sub_shape.ndim() - 1];
         let mut out = Vec::with_capacity(sub_shape.len());
-        for idx in sub_shape.indices() {
-            let mut src = [0usize; crate::MAX_NDIM];
-            for d in 0..self.shape.ndim() {
-                src[d] = region.origin()[d] + idx[d];
-            }
-            out.push(self.data[self.shape.offset(&src[..self.shape.ndim()])]);
-        }
+        for_each_row(self.shape, region, |off| {
+            out.extend_from_slice(&self.data[off..off + row]);
+        });
         NdArray::from_vec(sub_shape, out)
     }
 
@@ -161,14 +158,12 @@ impl<T: Scalar> NdArray<T> {
             region.size(),
             "block shape does not match region size"
         );
-        for (i, idx) in block.shape().indices().enumerate() {
-            let mut dst = [0usize; crate::MAX_NDIM];
-            for d in 0..self.shape.ndim() {
-                dst[d] = region.origin()[d] + idx[d];
-            }
-            let off = self.shape.offset(&dst[..self.shape.ndim()]);
-            self.data[off] = block.data[i];
-        }
+        let row = region.size()[region.ndim() - 1];
+        let mut rows = block.data.chunks_exact(row);
+        for_each_row(self.shape, region, |off| {
+            let src = rows.next().expect("one block row per region row");
+            self.data[off..off + row].copy_from_slice(src);
+        });
     }
 
     /// Maximum absolute pointwise difference against another array of the
@@ -180,6 +175,30 @@ impl<T: Scalar> NdArray<T> {
             .zip(other.data.iter())
             .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Call `f` with the flat offset in an array of `shape` of the first
+/// element of every row of `region`, in row-major order. A row runs
+/// along the last dimension; the outer dimensions advance as an
+/// odometer, one add per row.
+fn for_each_row(shape: Shape, region: &Region, mut f: impl FnMut(usize)) {
+    let outer = shape.ndim() - 1;
+    let (size, strides) = (region.size(), shape.strides());
+    let mut idx = [0usize; crate::MAX_NDIM];
+    let mut off = shape.offset(region.origin());
+    'rows: loop {
+        f(off);
+        for d in (0..outer).rev() {
+            idx[d] += 1;
+            off += strides[d];
+            if idx[d] < size[d] {
+                continue 'rows;
+            }
+            idx[d] = 0;
+            off -= size[d] * strides[d];
+        }
+        return;
     }
 }
 
@@ -229,6 +248,77 @@ mod tests {
         assert_eq!(a.value_range(), 0.0);
     }
 
+    /// The per-element `extract_region`: one multi-index offset per
+    /// element. The oracle for the row copies.
+    fn extract_region_per_element(a: &NdArray<f64>, region: &Region) -> NdArray<f64> {
+        region.validate(a.shape);
+        let sub_shape = Shape::new(region.size());
+        let mut out = Vec::with_capacity(sub_shape.len());
+        for idx in sub_shape.indices() {
+            let mut src = [0usize; crate::MAX_NDIM];
+            for d in 0..a.shape.ndim() {
+                src[d] = region.origin()[d] + idx[d];
+            }
+            out.push(a.data[a.shape.offset(&src[..a.shape.ndim()])]);
+        }
+        NdArray::from_vec(sub_shape, out)
+    }
+
+    /// The per-element `insert_region`, the oracle for the row copies.
+    fn insert_region_per_element(a: &mut NdArray<f64>, region: &Region, block: &NdArray<f64>) {
+        region.validate(a.shape);
+        assert_eq!(block.shape().dims(), region.size());
+        for (i, idx) in block.shape().indices().enumerate() {
+            let mut dst = [0usize; crate::MAX_NDIM];
+            for d in 0..a.shape.ndim() {
+                dst[d] = region.origin()[d] + idx[d];
+            }
+            let off = a.shape.offset(&dst[..a.shape.ndim()]);
+            a.data[off] = block.data[i];
+        }
+    }
+
+    /// Every region whose extent in each dimension is one of: the whole
+    /// axis, its first or last element, a half touching either edge, or
+    /// the interior.
+    fn edge_regions(shape: Shape) -> Vec<Region> {
+        let spans: Vec<Vec<(usize, usize)>> = shape
+            .dims()
+            .iter()
+            .map(|&n| {
+                let mut v = vec![
+                    (0, n),
+                    (0, 1),
+                    (n - 1, 1),
+                    (0, n.div_ceil(2)),
+                    (n / 2, n - n / 2),
+                ];
+                if n >= 3 {
+                    v.push((1, n - 2));
+                }
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        let count: usize = spans.iter().map(Vec::len).product();
+        (0..count)
+            .map(|mut k| {
+                let (mut origin, mut size) = (Vec::new(), Vec::new());
+                for dim in &spans {
+                    let (o, s) = dim[k % dim.len()];
+                    k /= dim.len();
+                    origin.push(o);
+                    size.push(s);
+                }
+                Region::new(&origin, &size)
+            })
+            .collect()
+    }
+
+    /// Region copies move exactly the elements of the per-element
+    /// oracles, on rank 1–4 shapes: single elements, whole arrays and
+    /// regions touching each edge.
     #[test]
     fn extract_insert_region_roundtrip() {
         let a = seq_array(Shape::d2(4, 5));
@@ -242,6 +332,31 @@ mod tests {
         b.insert_region(&r, &block);
         assert_eq!(b.get(&[2, 4]), a.get(&[2, 4]));
         assert_eq!(b.get(&[0, 0]), 0.0);
+
+        let shapes = [
+            Shape::d1(1),
+            Shape::d1(7),
+            Shape::d2(1, 1),
+            Shape::d2(4, 5),
+            Shape::d3(3, 1, 4),
+            Shape::d3(4, 5, 6),
+            Shape::new(&[1, 1, 1, 1]),
+            Shape::new(&[3, 4, 2, 5]),
+        ];
+        for shape in shapes {
+            let a = seq_array(shape);
+            for region in edge_regions(shape) {
+                let block = a.extract_region(&region);
+                let oracle = extract_region_per_element(&a, &region);
+                assert_eq!(block, oracle, "{region:?} of {shape:?}");
+                let neg = NdArray::from_vec(block.shape(), block.data.iter().map(|v| -v).collect());
+                let mut rows = a.clone();
+                rows.insert_region(&region, &neg);
+                let mut oracle = a.clone();
+                insert_region_per_element(&mut oracle, &region, &neg);
+                assert_eq!(rows, oracle, "{region:?} into {shape:?}");
+            }
+        }
     }
 
     #[test]
