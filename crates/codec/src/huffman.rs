@@ -14,7 +14,9 @@
 //! iteratively flattening the frequency distribution, which preserves
 //! prefix-freeness at a negligible size cost.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::BitReader;
+#[cfg(test)]
+use crate::bits::BitWriter;
 use crate::byteio::{ByteReader, ByteWriter};
 use crate::scratch::GrowCounter;
 use crate::{CodecError, Result};
@@ -371,35 +373,77 @@ impl HuffmanEncoder {
     /// [`HuffmanEncoder::encode`] with a recycled bitstream backing
     /// store: the payload is accumulated in `bit_buf`'s allocation and
     /// the buffer is handed back (holding the payload) for the next call.
+    ///
+    /// # Panics
+    /// Panics if a symbol is not in the table.
     pub fn encode_with(&self, symbols: &[u32], bit_buf: &mut Vec<u8>, out: &mut ByteWriter) {
         out.put_varint(self.entries.len() as u64);
         for &(sym, len) in &self.entries {
             out.put_varint(sym as u64);
             out.put_u8(len as u8);
         }
-        let mut bits = BitWriter::from_vec(std::mem::take(bit_buf));
+        let mut payload = std::mem::take(bit_buf);
+        payload.clear();
+        let mut packer = WordPacker { word: 0, free: 64 };
         match &self.table {
             SymbolTable::Dense { base, codes } => {
                 for &s in symbols {
-                    let (len, code) = codes
-                        .get(s.wrapping_sub(*base) as usize)
-                        .copied()
-                        .filter(|&(len, _)| len != 0)
-                        .expect("symbol not present in Huffman table");
-                    bits.put_bits(code, len);
+                    let index = s.wrapping_sub(*base) as usize;
+                    let (len, code) = codes.get(index).copied().unwrap_or((0, 0));
+                    assert!(len != 0, "symbol not present in Huffman table");
+                    packer.put(code, len, &mut payload);
                 }
             }
             SymbolTable::Sparse(m) => {
                 for s in symbols {
                     let &(len, code) = m.get(s).expect("symbol not present in Huffman table");
-                    bits.put_bits(code, len);
+                    packer.put(code, len, &mut payload);
                 }
             }
         }
-        let payload = bits.finish();
+        packer.finish(&mut payload);
         out.put_varint(symbols.len() as u64);
         out.put_len_prefixed(&payload);
         *bit_buf = payload;
+    }
+}
+
+/// The encoder's bit packer: codes of 1..=[`MAX_CODE_LEN`] bits fill a
+/// 64-bit word from the top, and each full word is stored as 8
+/// big-endian bytes. The bytes are the MSB-first stream
+/// [`BitWriter`] writes, zero-padded to a byte, without its per-append
+/// width checks and split paths.
+struct WordPacker {
+    /// Pending bits, left-aligned: the top `64 - free` bits are valid,
+    /// the rest zero.
+    word: u64,
+    /// Unused low bits of `word`, 1..=64 between appends.
+    free: u32,
+}
+
+impl WordPacker {
+    /// Append the low `len` bits of `code`; `code < 2^len`, `1 <= len <= 32`.
+    #[inline(always)]
+    fn put(&mut self, code: u64, len: u32, out: &mut Vec<u8>) {
+        if len < self.free {
+            self.free -= len;
+            self.word |= code << self.free;
+        } else {
+            // The code's top `free` bits complete the word; the rest,
+            // fewer than 32, start the next one.
+            let rest = len - self.free;
+            out.extend_from_slice(&(self.word | code >> rest).to_be_bytes());
+            self.free = 64 - rest;
+            // `checked_shl` yields 0 for a 64-bit shift (`rest == 0`),
+            // which leaves the new word empty.
+            self.word = code.checked_shl(self.free).unwrap_or(0);
+        }
+    }
+
+    /// Store the pending bits, zero-padded to a whole byte.
+    fn finish(self, out: &mut Vec<u8>) {
+        let bytes = (64 - self.free).div_ceil(8) as usize;
+        out.extend_from_slice(&self.word.to_be_bytes()[..bytes]);
     }
 }
 
@@ -879,6 +923,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`HuffmanEncoder::encode_with`] as it was, one checked
+    /// [`BitWriter::put_bits`] per symbol: the oracle of the word packer.
+    fn encode_put_bits(enc: &HuffmanEncoder, symbols: &[u32]) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        out.put_varint(enc.entries.len() as u64);
+        for &(sym, len) in &enc.entries {
+            out.put_varint(sym as u64);
+            out.put_u8(len as u8);
+        }
+        let mut bits = BitWriter::new();
+        for &s in symbols {
+            let (len, code) = enc
+                .table
+                .get(s)
+                .expect("symbol not present in Huffman table");
+            bits.put_bits(code, len);
+        }
+        let payload = bits.finish();
+        out.put_varint(symbols.len() as u64);
+        out.put_len_prefixed(&payload);
+        out.finish()
+    }
+
+    /// An encoder for exactly the `(symbol, length)` entries given.
+    fn encoder_for(entries: Vec<(u32, u32)>) -> HuffmanEncoder {
+        let coded = canonical_codes(entries);
+        HuffmanEncoder {
+            table: SymbolTable::build(&coded, &mut HuffmanScratch::new()),
+            entries: coded.iter().map(|&(sym, len, _)| (sym, len)).collect(),
+        }
+    }
+
+    /// The word packer writes the `put_bits` loop's bytes for codes of
+    /// every length 1..=32, dense and sparse tables, one-symbol
+    /// alphabets, and every stream prefix up to 80 symbols, so payloads
+    /// end on 64-bit word boundaries and at every offset inside a word.
+    /// One recycled bit buffer serves every case.
+    #[test]
+    fn word_packer_matches_put_bits_on_adversarial_lengths() {
+        let mut cases = Vec::new();
+        for (mi, mix) in adversarial_mixes().iter().enumerate() {
+            let entries = mix_entries(mix);
+            let coded = canonical_codes(entries.clone());
+            let symbols: Vec<u32> = mix_stream(mi as u64 + 3, &coded, 4000)
+                .iter()
+                .map(|c| c.0)
+                .collect();
+            if entries.len() < 64 {
+                // Symbols 10^8 apart: a sparse (hash map) table.
+                let wide = |s: u32| s / 7 * 100_000_000 + 1;
+                let sparse = entries.iter().map(|&(s, l)| (wide(s), l)).collect();
+                let wide_symbols = symbols.iter().map(|&s| wide(s)).collect();
+                cases.push((encoder_for(sparse), wide_symbols, true));
+            }
+            cases.push((encoder_for(entries), symbols, false));
+        }
+        for sym in [0, 7, u32::MAX] {
+            let run = vec![sym; 200];
+            cases.push((HuffmanEncoder::from_symbols(&run).unwrap(), run, false));
+        }
+        let mut bit_buf = Vec::new();
+        let (mut on_word, mut off_word) = (0, 0);
+        for (ci, (enc, symbols, sparse)) in cases.iter().enumerate() {
+            let is_sparse = matches!(enc.table, SymbolTable::Sparse(_));
+            assert_eq!(is_sparse, *sparse, "case {ci}: table kind");
+            for k in (0..=80).chain([symbols.len()]) {
+                let mut w = ByteWriter::new();
+                enc.encode_with(&symbols[..k], &mut bit_buf, &mut w);
+                assert_eq!(
+                    w.finish(),
+                    encode_put_bits(enc, &symbols[..k]),
+                    "case {ci}: {k} symbols"
+                );
+                let bits = enc.payload_bits(&symbols[..k]).unwrap();
+                if bits % 64 == 0 {
+                    on_word += 1;
+                } else {
+                    off_word += 1;
+                }
+            }
+        }
+        assert!(
+            on_word > 10 && off_word > 100,
+            "{on_word} on, {off_word} off"
+        );
     }
 
     /// Truncated and corrupt payloads must fail through `decode_with`

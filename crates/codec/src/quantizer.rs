@@ -14,6 +14,15 @@
 //! range (or whose reconstruction fails the bound due to floating-point
 //! rounding). Unpredictable values are stored exactly in a side stream,
 //! mirroring SZ's design.
+//!
+//! `round` is half away from zero, as `f64::round` computes it, but done
+//! inline by `round_half_away`: truncate to `i64`, then step one away
+//! from zero when the exact fractional part is at least one half. On the
+//! baseline x86-64 target (no SSE4.1 `roundsd`) `f64::round` is a libm
+//! call, out of line once per point with the loop's registers spilled
+//! around it. The inline form equals `f64::round` wherever the
+//! truncation is exact, `|x| < 2^63`; `quantize` only rounds after its
+//! range check has bounded `|scaled|` below `radius - 1 < 2^32`.
 
 use qoz_tensor::Scalar;
 
@@ -101,7 +110,7 @@ impl LinearQuantizer {
                 reconstructed: value,
             };
         }
-        let q = scaled.round() as i64;
+        let q = round_half_away(scaled);
         let recon_f = prediction + 2.0 * self.error_bound * q as f64;
         let recon = T::from_f64(recon_f);
         // Rounding through the narrower T (f32) can break the bound; fall
@@ -126,6 +135,17 @@ impl LinearQuantizer {
         let q = code as i64 - self.radius as i64;
         T::from_f64(prediction + 2.0 * self.error_bound * q as f64)
     }
+}
+
+/// `x.round() as i64` for `|x| < 2^63`: truncation toward zero, then
+/// one step away from zero when the fractional part reaches one half.
+/// Both steps are exact there: `x as i64` is, and so is `x - t`, the
+/// fractional part of a float.
+#[inline(always)]
+fn round_half_away(x: f64) -> i64 {
+    let t = x as i64;
+    let frac = x - t as f64;
+    t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64
 }
 
 #[cfg(test)]
@@ -235,5 +255,160 @@ mod tests {
     #[should_panic]
     fn zero_bound_rejected() {
         let _ = LinearQuantizer::new(0.0);
+    }
+
+    /// [`LinearQuantizer::quantize`] as it was with `f64::round`: the
+    /// oracle the inline rounding is checked against.
+    fn quantize_libm<T: Scalar>(q: &LinearQuantizer, value: T, prediction: f64) -> Quantized<T> {
+        let v = value.to_f64();
+        let unpredictable = Quantized {
+            code: 0,
+            reconstructed: value,
+        };
+        if !v.is_finite() || !prediction.is_finite() {
+            return unpredictable;
+        }
+        let scaled = (v - prediction) / (2.0 * q.error_bound);
+        if scaled.abs() >= (q.radius - 1) as f64 {
+            return unpredictable;
+        }
+        let qi = scaled.round() as i64;
+        let recon = T::from_f64(prediction + 2.0 * q.error_bound * qi as f64);
+        if (recon.to_f64() - v).abs() > q.error_bound {
+            return unpredictable;
+        }
+        Quantized {
+            code: (qi + q.radius as i64) as u32,
+            reconstructed: recon,
+        }
+    }
+
+    /// The code and the reconstruction's bits of both implementations.
+    fn same_as_libm<T: Scalar>(q: &LinearQuantizer, value: T, prediction: f64) -> bool {
+        let (got, want) = (
+            q.quantize(value, prediction),
+            quantize_libm(q, value, prediction),
+        );
+        got.code == want.code
+            && got.reconstructed.to_le_bytes_vec() == want.reconstructed.to_le_bytes_vec()
+    }
+
+    fn up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    /// Ties `±(k + 1/2)`, their neighbours one ulp either side, signed
+    /// zeros and subnormals round as `f64::round` rounds them, both
+    /// directly and through `quantize` (bound 1/2, so `scaled` is the
+    /// value itself, at the widest radius).
+    #[test]
+    fn inline_round_matches_f64_round_on_ties_zeros_and_subnormals() {
+        let q = LinearQuantizer::with_radius(0.5, u32::MAX);
+        let mut ks: Vec<u64> = (0..64).collect();
+        ks.extend([1 << 15, (1 << 24) - 1, 1 << 24, 1 << 31, (1 << 32) - 3]);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            0.5,
+            -0.5,
+        ];
+        for k in ks {
+            let tie = k as f64 + 0.5;
+            xs.extend([tie, up(tie), down(tie), -tie, -up(tie), -down(tie)]);
+        }
+        for x in xs {
+            assert_eq!(round_half_away(x), x.round() as i64, "round({x:e})");
+            assert!(same_as_libm(&q, x, 0.0), "value {x:e}");
+            assert!(same_as_libm(&q, x as f32, 0.0), "f32 value {x:e}");
+            assert!(same_as_libm(&q, 0.0f64, -x), "prediction {x:e}");
+        }
+        // Subnormal values, predictions and bounds.
+        for eb in [5e-324, 1e-310, 1e-300] {
+            let q = LinearQuantizer::new(eb);
+            for (v, p) in [
+                (1e-310, 0.0),
+                (-3e-320, 1e-315),
+                (2.5e-323, -5e-324),
+                (0.0, -0.0),
+            ] {
+                assert!(
+                    same_as_libm(&q, v, p),
+                    "eb {eb:e} value {v:e} prediction {p:e}"
+                );
+            }
+        }
+    }
+
+    /// `|scaled|` exactly at `radius - 1` is unpredictable; one ulp
+    /// inside it, and the ties just inside, are coded as before.
+    #[test]
+    fn inline_round_matches_f64_round_at_the_code_range_edge() {
+        for radius in [2, 3, 1 << 15, 1 << 24, 1 << 30, u32::MAX] {
+            let q = LinearQuantizer::with_radius(0.5, radius);
+            let edge = (radius - 1) as f64;
+            let tie = edge - 0.5;
+            for x in [edge, down(edge), up(edge), tie, up(tie), down(tie)] {
+                for v in [x, -x] {
+                    assert!(same_as_libm(&q, v, 0.0), "radius {radius}, value {v}");
+                }
+            }
+            assert_eq!(q.quantize(edge, 0.0).code, 0, "radius {radius}");
+            assert_ne!(q.quantize(down(edge), 0.0).code, 0, "radius {radius}");
+        }
+    }
+
+    /// Any finite positive bound, subnormals included.
+    fn any_bound() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            1e-9f64..1e3,
+            Just(0.5),
+            (1u64..0x7FF0_0000_0000_0000).prop_map(f64::from_bits),
+        ]
+    }
+
+    /// Values and predictions: smooth ones, ties at bound 1/2, NaN,
+    /// ±Inf, signed zeros and arbitrary bit patterns.
+    fn any_f64() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => any::<f64>(),
+            2 => (-1000i64..1000).prop_map(|k| k as f64 + 0.5),
+            2 => any::<u64>().prop_map(f64::from_bits),
+            1 => Just(f64::NAN),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(-0.0),
+        ]
+    }
+
+    fn any_radius() -> impl proptest::prelude::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        prop_oneof![Just(LinearQuantizer::DEFAULT_RADIUS), 2u32..u32::MAX]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn inline_round_matches_f64_round_on_random_inputs(
+            value in any_f64(),
+            prediction in any_f64(),
+            eb in any_bound(),
+            radius in any_radius(),
+        ) {
+            let q = LinearQuantizer::with_radius(eb, radius);
+            proptest::prop_assert!(same_as_libm(&q, value, prediction));
+            proptest::prop_assert!(same_as_libm(&q, value as f32, prediction));
+            // The prediction a tie lands on after rounding through f32.
+            proptest::prop_assert!(same_as_libm(&q, value as f32, value + eb));
+        }
     }
 }

@@ -15,7 +15,7 @@ use crate::{Qoz, QozPlan};
 use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_codec::{Result, Scratch};
 use qoz_metrics::{psnr, ssim};
-use qoz_sz3::{compress_with_spec, InterpSpec};
+use qoz_sz3::{compress_with_spec_into, InterpSpec};
 use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar};
 
 /// A quality target for [`Qoz::compress_to_quality`].
@@ -172,29 +172,33 @@ pub struct FixedQualityResult {
 }
 
 impl Qoz {
-    /// Estimate the quality at a relative bound from the sampled blocks.
+    /// Estimate the quality at a relative bound from the sampled blocks,
+    /// staging every block's pass in `scratch`.
     fn sampled_quality<T: Scalar>(
         &self,
         blocks: &[NdArray<T>],
         range: f64,
         eps: f64,
         target: QualityTarget,
+        scratch: &mut Scratch<T>,
     ) -> f64 {
         let abs = eps * range;
+        let spec = InterpSpec::anchored(16, abs, Default::default());
         let mut se = 0.0f64;
         let mut ssim_acc = 0.0f64;
         let mut n = 0usize;
         for b in blocks {
-            let spec = InterpSpec::anchored(16, abs, Default::default());
-            let out = compress_with_spec(b, &spec);
+            compress_with_spec_into(b, &spec, scratch);
+            let recon = NdArray::from_vec(b.shape(), std::mem::take(&mut scratch.work));
             match target {
                 QualityTarget::Psnr(_) => {
-                    se += qoz_metrics::mse(b, &out.recon) * b.len() as f64;
+                    se += qoz_metrics::mse(b, &recon) * b.len() as f64;
                 }
                 QualityTarget::Ssim(_) => {
-                    ssim_acc += ssim(b, &out.recon) * b.len() as f64;
+                    ssim_acc += ssim(b, &recon) * b.len() as f64;
                 }
             }
+            scratch.work = recon.into_vec();
             n += b.len();
         }
         match target {
@@ -232,15 +236,18 @@ impl Qoz {
         // Geometric bisection on the relative bound.
         let mut lo = 1e-8f64; // quality too high (wasteful)
         let mut hi = 1e-1f64; // quality too low
+        let mut scratch = Scratch::new();
         for _ in 0..14 {
             let mid = (lo * hi).sqrt();
-            let q = self.sampled_quality(&blocks, range, mid, target);
+            let q = self.sampled_quality(&blocks, range, mid, target, &mut scratch);
             if target.satisfied(q) {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
+        // The full passes below stage in arenas of their own.
+        drop(scratch);
         let mut eps = lo;
 
         // Full pass with the real tuner; verify and tighten if the

@@ -52,8 +52,11 @@ pub fn select_level_interps<T: Scalar>(
     let quant = LinearQuantizer::new(abs_eb);
 
     // Working buffers: anchors (base grid of each block) stay lossless,
-    // mirroring QoZ's anchored full-array pass.
+    // mirroring QoZ's anchored full-array pass. Each candidate runs on a
+    // copy of its block's working buffer, staged in a per-block buffer
+    // allocated once.
     let mut works: Vec<NdArray<T>> = blocks.to_vec();
+    let mut trials: Vec<NdArray<T>> = blocks.to_vec();
     let mut selected = vec![LevelConfig::default(); total];
 
     // Evaluate the default (cubic/ascending) first so that levels the
@@ -69,8 +72,8 @@ pub fn select_level_interps<T: Scalar>(
         let mut best_err = f64::INFINITY;
         for &cand in &cands {
             let mut err = 0.0f64;
-            for work in &works {
-                let mut trial = work.clone();
+            for (work, trial) in works.iter().zip(&mut trials) {
+                trial.as_mut_slice().copy_from_slice(work.as_slice());
                 let shape = trial.shape();
                 traverse_level(
                     trial.as_mut_slice(),

@@ -108,8 +108,13 @@ pub fn compress_with_spec_into<T: Scalar>(
     let shape = data.shape();
     scratch.clear();
     scratch.load_work(data.as_slice());
-    scratch.bins.reserve(shape.len());
-    let bins = &mut scratch.bins;
+    // Every bin is written by index into a buffer sized up front, so the
+    // per-point loop keeps its cursor in a register instead of a `Vec`
+    // length it must load and store around a possible reallocation.
+    let n_bins = bin_count(shape, spec);
+    scratch.bins.resize(n_bins, 0);
+    let bins = &mut scratch.bins[..];
+    let mut next_bin = 0usize;
     let mut unpred = ByteWriter::from_vec(std::mem::take(&mut scratch.unpred));
     let mut anchors = ByteWriter::from_vec(std::mem::take(&mut scratch.anchors));
     let mut stats = EngineStats::default();
@@ -134,7 +139,8 @@ pub fn compress_with_spec_into<T: Scalar>(
                 if qz.code == 0 {
                     unpred.put_bytes(&v.to_le_bytes_vec());
                 }
-                bins.push(qz.code);
+                bins[next_bin] = qz.code;
+                next_bin += 1;
                 buf[off] = qz.reconstructed;
             });
         }
@@ -159,11 +165,13 @@ pub fn compress_with_spec_into<T: Scalar>(
                 if qz.code == 0 {
                     unpred.put_bytes(&v.to_le_bytes_vec());
                 }
-                bins.push(qz.code);
+                bins[next_bin] = qz.code;
+                next_bin += 1;
                 buf[off] = qz.reconstructed;
             },
         );
     }
+    assert_eq!(next_bin, n_bins, "the traversal visits every counted point");
 
     scratch.unpred = unpred.into_vec();
     scratch.anchors = anchors.into_vec();
@@ -259,6 +267,20 @@ pub fn read_stream_into<T: Scalar>(
     Ok(())
 }
 
+/// Number of bins [`compress_with_spec_into`] emits for `shape` under
+/// `spec`: the quantized corner grid of an unanchored spec plus every
+/// point each level predicts.
+fn bin_count(shape: Shape, spec: &InterpSpec) -> usize {
+    let base_bins = match spec.anchor_stride {
+        Some(_) => 0,
+        None => base_point_count(shape, base_stride(spec.max_level)),
+    };
+    let level_bins: usize = (1..=spec.max_level)
+        .map(|level| level_point_count(shape, level, spec.config_of(level)))
+        .sum();
+    base_bins + level_bins
+}
+
 /// Check that `bins` and `anchors` hold exactly what
 /// [`compress_with_spec_into`] emits for `shape` under `spec`, so a
 /// header declaring a shape its payload cannot fill is an error before
@@ -269,14 +291,11 @@ fn check_sections<T: Scalar>(
     bins: &[u32],
     anchors: &[u8],
 ) -> Result<()> {
-    let (base_bins, anchor_bytes) = match spec.anchor_stride {
-        Some(a) => (0, base_point_count(shape, a as usize) * T::BYTES),
-        None => (base_point_count(shape, base_stride(spec.max_level)), 0),
+    let anchor_bytes = match spec.anchor_stride {
+        Some(a) => base_point_count(shape, a as usize) * T::BYTES,
+        None => 0,
     };
-    let level_bins: usize = (1..=spec.max_level)
-        .map(|level| level_point_count(shape, level, spec.config_of(level)))
-        .sum();
-    if bins.len() != base_bins + level_bins {
+    if bins.len() != bin_count(shape, spec) {
         return Err(CodecError::Corrupt("bin count disagrees with shape"));
     }
     if anchors.len() != anchor_bytes {

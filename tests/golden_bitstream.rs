@@ -164,3 +164,140 @@ fn warm_pipeline_streams_match_cold_golden() {
         );
     }
 }
+
+/// QoZ tuned for PSNR, SSIM and autocorrelation: unlike the CR tuner
+/// pinned above, these walks run the Table-I probe trials at shifted
+/// bounds, so every tuner decision they make, and through it every byte
+/// of the trial kernels, shows in the stream.
+#[test]
+fn metric_tuned_qoz_streams_are_byte_identical_to_seed() {
+    use qoz_suite::metrics::QualityMetric;
+
+    // PSNR and SSIM are pinned at 1e-2, where they tune Miranda away
+    // from (alpha, beta) = (1, 1); at 1e-3 both keep the CR pins' bytes.
+    let expect: [(QualityMetric, Dataset, f64, usize, u64); 6] = [
+        (
+            QualityMetric::Psnr,
+            Dataset::Miranda,
+            1e-2,
+            3659,
+            0xcfdc377e28bf1a64,
+        ),
+        (
+            QualityMetric::Psnr,
+            Dataset::CesmAtm,
+            1e-2,
+            2259,
+            0x31503bfd52c3b217,
+        ),
+        (
+            QualityMetric::Ssim,
+            Dataset::Miranda,
+            1e-2,
+            3542,
+            0x5266fdca18d07a0b,
+        ),
+        (
+            QualityMetric::Ssim,
+            Dataset::CesmAtm,
+            1e-2,
+            2259,
+            0x31503bfd52c3b217,
+        ),
+        (
+            QualityMetric::AutoCorrelation,
+            Dataset::Miranda,
+            1e-3,
+            13404,
+            0x6fb6a1d7ef345cd6,
+        ),
+        (
+            QualityMetric::AutoCorrelation,
+            Dataset::CesmAtm,
+            1e-3,
+            6857,
+            0x13d053ad85e36de5,
+        ),
+    ];
+    for (metric, ds, eps, len, hash) in expect {
+        let c = qoz_suite::qoz::Qoz::for_metric(metric);
+        let (got_len, got_hash) = golden_case(&c, ds, eps);
+        assert_eq!(
+            (got_len, got_hash),
+            (len, hash),
+            "{metric:?}-tuned qoz stream changed for {ds:?} eps={eps:e}: \
+             got ({got_len}, {got_hash:#x})"
+        );
+    }
+}
+
+/// A quality-target stream: the sampled bisection, the tuner at the
+/// bound it settles on, and the verifying full pass.
+#[test]
+fn psnr_target_stream_is_byte_identical_to_seed() {
+    use qoz_suite::api::Session;
+
+    let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
+    let session = Session::builder().psnr(70.0).build().unwrap();
+    let out = session.compress(&data).unwrap();
+    let recon: qoz_suite::tensor::NdArray<f32> = session.decompress(&out.blob).unwrap();
+    assert!(qoz_suite::metrics::psnr(&data, &recon) >= 70.0);
+    let (len, hash) = (16164, 0xa25874ea329ac0ad);
+    assert_eq!(
+        (out.blob.len(), fnv1a(&out.blob)),
+        (len, hash),
+        "Psnr(70) stream changed: got ({}, {:#x})",
+        out.blob.len(),
+        fnv1a(&out.blob)
+    );
+}
+
+/// The SZ2 and MGARD+ baselines share the quantizer and the entropy
+/// stage with the interpolation codecs but run their own predictors.
+#[test]
+fn sz2_and_mgard_streams_are_byte_identical_to_seed() {
+    let sz2 = golden_case(&qoz_suite::sz2::Sz2::default(), Dataset::Miranda, 1e-3);
+    assert_eq!(
+        sz2,
+        (14018, 0x4aab33d731f29303),
+        "sz2 stream changed: got {sz2:x?}"
+    );
+    let mgard = golden_case(&qoz_suite::mgard::Mgard, Dataset::CesmAtm, 1e-3);
+    assert_eq!(
+        mgard,
+        (7631, 0xddef87a6c46f1cb7),
+        "mgard stream changed: got {mgard:x?}"
+    );
+}
+
+/// The members of a four-snapshot temporal chain after its keyframe:
+/// residual streams coded with a replayed plan.
+#[test]
+fn temporal_delta_members_are_byte_identical_to_seed() {
+    use qoz_suite::api::{Session, TemporalMode};
+    use qoz_suite::tensor::{NdArray, Shape};
+
+    let series = qoz_suite::datagen::time_series_like(Shape::new(&[4, 20, 24, 24]), 0x5EED);
+    let snap = Shape::d3(20, 24, 24);
+    let session = Session::builder()
+        .bound(ErrorBound::Rel(1e-3))
+        .build()
+        .unwrap();
+    let mut pipe = session.pipeline::<f32>();
+    let expect: [(usize, u64); 3] = [
+        (4771, 0x729887dbb2571e13),
+        (5847, 0xa22b6e700a47eb72),
+        (6874, 0xeb05044e2b68983f),
+    ];
+    let mut got = Vec::new();
+    for (t, s) in series.as_slice().chunks_exact(snap.len()).enumerate() {
+        let (outcome, out) = pipe
+            .compress_next(&NdArray::from_vec(snap, s.to_vec()))
+            .unwrap();
+        if t > 0 {
+            assert_eq!(outcome.mode(), TemporalMode::Delta, "member {t}");
+            got.push((out.blob.len(), fnv1a(&out.blob)));
+        }
+    }
+    assert_eq!(got, expect, "delta members changed: got {got:x?}");
+}
