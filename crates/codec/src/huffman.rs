@@ -181,13 +181,46 @@ fn dense_span(min: u32, max: u32, count: usize) -> bool {
     (max - min) as usize <= count.saturating_mul(16) + DENSE_SYMBOL_SLACK
 }
 
+/// `[min, max]` of the non-zero symbols, `None` when every symbol is 0.
+///
+/// Symbol 0 is the quantizer's unpredictable marker, so any input with
+/// an unpredictable point has it while its other bins sit within about
+/// a thousand values of the radius (32768). The dense tables cover this
+/// window and keep symbol 0 beside it, instead of spanning `[0, max]`.
+/// No index into the window is ever 0's: `0 - min` wraps past `max - min`.
+fn nonzero_window(symbols: impl Iterator<Item = u32>) -> Option<(u32, u32)> {
+    // 0 - 1 wraps to u32::MAX, the identity of `min`, so 0 only shows
+    // when no other symbol does; then `hi` is 0 too.
+    let (lo, hi) = symbols.fold((u32::MAX, 0), |(lo, hi), s| {
+        (lo.min(s.wrapping_sub(1)), hi.max(s))
+    });
+    (hi != 0).then(|| (lo + 1, hi))
+}
+
+/// A table of `len` zeroed entries in the recycled `buf`, allocated to
+/// exactly `len` when it must grow, so a tuner arena's tables stay the
+/// size of the windows it has seen rather than doubling past them.
+fn zeroed<E: Copy + Default>(mut buf: Vec<E>, len: usize) -> Vec<E> {
+    buf.clear();
+    buf.reserve_exact(len);
+    buf.resize(len, E::default());
+    buf
+}
+
 /// symbol -> (length, code) lookup, dense where the symbol span allows.
+/// Codes are at most [`MAX_CODE_LEN`] = 32 bits.
 #[derive(Debug, Clone)]
 enum SymbolTable {
-    /// Indexed by `symbol - base`; `length == 0` marks a hole.
-    Dense { base: u32, codes: Vec<(u32, u64)> },
+    /// `codes` is indexed by `symbol - base` over the window of non-zero
+    /// symbols (empty when 0 is the only symbol), and `zero` is symbol
+    /// 0's entry; `length == 0` marks a hole.
+    Dense {
+        base: u32,
+        codes: Vec<(u32, u32)>,
+        zero: (u32, u32),
+    },
     /// Fallback for sparse, wide alphabets.
-    Sparse(HashMap<u32, (u32, u64)>),
+    Sparse(HashMap<u32, (u32, u32)>),
 }
 
 impl SymbolTable {
@@ -195,38 +228,52 @@ impl SymbolTable {
     /// recycled buffer (handed back via [`HuffmanEncoder::recycle`]). The
     /// table contents are identical to a freshly allocated build.
     fn build(coded: &[(u32, u32, u64)], scratch: &mut HuffmanScratch) -> SymbolTable {
-        let (min, max) = coded
-            .iter()
-            .fold((u32::MAX, 0), |(lo, hi), &(s, _, _)| (lo.min(s), hi.max(s)));
-        if dense_span(min, max, coded.len()) {
-            let mut codes = std::mem::take(&mut scratch.dense);
-            codes.clear();
-            codes.resize((max - min) as usize + 1, (0u32, 0u64));
-            for &(sym, len, code) in coded {
-                codes[(sym - min) as usize] = (len, code);
-            }
-            SymbolTable::Dense { base: min, codes }
-        } else {
-            SymbolTable::Sparse(
+        let entry = |len, code| {
+            let code = u32::try_from(code).expect("codes are at most MAX_CODE_LEN bits");
+            (len, code)
+        };
+        let window = nonzero_window(coded.iter().map(|c| c.0));
+        match window {
+            Some((min, max)) if !dense_span(min, max, coded.len()) => SymbolTable::Sparse(
                 coded
                     .iter()
-                    .map(|&(sym, len, code)| (sym, (len, code)))
+                    .map(|&(sym, len, code)| (sym, entry(len, code)))
                     .collect(),
-            )
+            ),
+            _ => {
+                let (base, span) = window.map_or((1, 0), |(lo, hi)| (lo, (hi - lo) as usize + 1));
+                let mut codes = zeroed(std::mem::take(&mut scratch.dense), span);
+                let mut zero = (0, 0);
+                for &(sym, len, code) in coded {
+                    match codes.get_mut(sym.wrapping_sub(base) as usize) {
+                        Some(slot) => *slot = entry(len, code),
+                        None => zero = entry(len, code),
+                    }
+                }
+                SymbolTable::Dense { base, codes, zero }
+            }
         }
     }
 
     #[inline]
-    fn get(&self, sym: u32) -> Option<(u32, u64)> {
+    fn get(&self, sym: u32) -> Option<(u32, u32)> {
         match self {
-            SymbolTable::Dense { base, codes } => {
-                match codes.get(sym.wrapping_sub(*base) as usize) {
-                    Some(&(len, code)) if len != 0 => Some((len, code)),
-                    _ => None,
-                }
+            SymbolTable::Dense { base, codes, zero } => {
+                let found = dense_entry(*base, codes, *zero, sym);
+                (found.0 != 0).then_some(found)
             }
             SymbolTable::Sparse(m) => m.get(&sym).copied(),
         }
+    }
+}
+
+/// A dense table's `(length, code)` for `sym`, `(0, 0)` if it has none.
+#[inline(always)]
+fn dense_entry(base: u32, codes: &[(u32, u32)], zero: (u32, u32), sym: u32) -> (u32, u32) {
+    match codes.get(sym.wrapping_sub(base) as usize) {
+        Some(&e) => e,
+        None if sym == 0 => zero,
+        None => (0, 0),
     }
 }
 
@@ -243,8 +290,9 @@ pub struct HuffmanEncoder {
 ///
 /// The encode side recycles the dense frequency-count table and — via
 /// [`HuffmanEncoder::recycle`] — the dense symbol→code table, both
-/// sized by the symbols' span `max - min + 1` (about a thousand entries
-/// for quantizer bins, which cluster around the radius). The decode
+/// sized by the window `max - min + 1` of the non-zero symbols (about a
+/// thousand entries for quantizer bins, which cluster around the
+/// radius), with symbol 0 counted and coded beside it. The decode
 /// side ([`HuffmanDecoder::decode_with`]) recycles the serialized-table
 /// staging, the canonical symbol list and the 2^11-entry primary lookup
 /// table. Recycling never changes bytes or decoded values; the
@@ -253,7 +301,7 @@ pub struct HuffmanEncoder {
 pub struct HuffmanScratch {
     counts: Vec<u64>,
     /// Encoder dense symbol→code table, recycled across builds.
-    dense: Vec<(u32, u64)>,
+    dense: Vec<(u32, u32)>,
     /// Decoder staging: `(symbol, length)` entries read from the stream.
     entries: Vec<(u32, u32)>,
     /// Decoder staging: canonical `(symbol, length, code)` triples.
@@ -287,34 +335,44 @@ impl HuffmanEncoder {
 
     /// [`HuffmanEncoder::from_symbols`] with a recycled counting buffer.
     pub fn from_symbols_with(symbols: &[u32], scratch: &mut HuffmanScratch) -> Option<Self> {
-        let (&first, rest) = symbols.split_first()?;
-        let (min, max) = rest
-            .iter()
-            .fold((first, first), |(lo, hi), &s| (lo.min(s), hi.max(s)));
-        // Frequency counting: dense array over [min, max] when that span
-        // is moderate (the common quantizer-bin case), hash map otherwise.
+        if symbols.is_empty() {
+            return None;
+        }
+        // Frequency counting: a dense array over the non-zero symbols'
+        // window with symbol 0 counted beside it when the window is
+        // moderate (the common quantizer-bin case), a hash map otherwise.
         // Both paths yield the same symbol-sorted frequency list.
+        let window = nonzero_window(symbols.iter().copied());
         let mut freqs: Vec<(u32, u64)>;
-        if dense_span(min, max, symbols.len()) {
-            let counts = &mut scratch.counts;
-            counts.clear();
-            counts.resize((max - min) as usize + 1, 0);
-            for &s in symbols {
-                counts[(s - min) as usize] += 1;
+        match window {
+            Some((min, max)) if !dense_span(min, max, symbols.len()) => {
+                let mut freq: HashMap<u32, u64> = HashMap::new();
+                for &s in symbols {
+                    *freq.entry(s).or_insert(0) += 1;
+                }
+                freqs = freq.into_iter().collect();
+                freqs.sort_unstable();
             }
-            freqs = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (min + i as u32, c))
-                .collect();
-        } else {
-            let mut freq: HashMap<u32, u64> = HashMap::new();
-            for &s in symbols {
-                *freq.entry(s).or_insert(0) += 1;
+            _ => {
+                let (min, span) = window.map_or((1, 0), |(lo, hi)| (lo, (hi - lo) as usize + 1));
+                let mut counts = zeroed(std::mem::take(&mut scratch.counts), span);
+                let mut zeros = 0u64;
+                for &s in symbols {
+                    match counts.get_mut(s.wrapping_sub(min) as usize) {
+                        Some(c) => *c += 1,
+                        None => zeros += 1,
+                    }
+                }
+                freqs = (zeros > 0).then_some((0, zeros)).into_iter().collect();
+                freqs.extend(
+                    counts
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &c)| c > 0)
+                        .map(|(i, &c)| (min + i as u32, c)),
+                );
+                scratch.counts = counts;
             }
-            freqs = freq.into_iter().collect();
-            freqs.sort_unstable();
         }
 
         // Flatten the distribution until no code exceeds MAX_CODE_LEN.
@@ -386,10 +444,9 @@ impl HuffmanEncoder {
         payload.clear();
         let mut packer = WordPacker { word: 0, free: 64 };
         match &self.table {
-            SymbolTable::Dense { base, codes } => {
+            SymbolTable::Dense { base, codes, zero } => {
                 for &s in symbols {
-                    let index = s.wrapping_sub(*base) as usize;
-                    let (len, code) = codes.get(index).copied().unwrap_or((0, 0));
+                    let (len, code) = dense_entry(*base, codes, *zero, s);
                     assert!(len != 0, "symbol not present in Huffman table");
                     packer.put(code, len, &mut payload);
                 }
@@ -424,7 +481,8 @@ struct WordPacker {
 impl WordPacker {
     /// Append the low `len` bits of `code`; `code < 2^len`, `1 <= len <= 32`.
     #[inline(always)]
-    fn put(&mut self, code: u64, len: u32, out: &mut Vec<u8>) {
+    fn put(&mut self, code: u32, len: u32, out: &mut Vec<u8>) {
+        let code = u64::from(code);
         if len < self.free {
             self.free -= len;
             self.word |= code << self.free;
@@ -940,7 +998,7 @@ mod tests {
                 .table
                 .get(s)
                 .expect("symbol not present in Huffman table");
-            bits.put_bits(code, len);
+            bits.put_bits(u64::from(code), len);
         }
         let payload = bits.finish();
         out.put_varint(symbols.len() as u64);
@@ -1192,5 +1250,145 @@ mod tests {
             HuffmanDecoder::decode(&mut ByteReader::new(&buf)).unwrap(),
             [3; 64]
         );
+    }
+
+    /// The encoder as it was before symbol 0 moved beside the window:
+    /// frequencies counted over the whole `[min, max]` span (or a hash
+    /// map), codes looked up in a map, bits through `put_bits`. The
+    /// oracle of the windowed build.
+    fn encode_spanning(symbols: &[u32]) -> Vec<u8> {
+        let (min, max) = symbols
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        let mut freqs: Vec<(u32, u64)> = if dense_span(min, max, symbols.len()) {
+            let mut counts = vec![0u64; (max - min) as usize + 1];
+            for &s in symbols {
+                counts[(s - min) as usize] += 1;
+            }
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| (min + i as u32, c))
+                .collect()
+        } else {
+            let mut freq: HashMap<u32, u64> = HashMap::new();
+            for &s in symbols {
+                *freq.entry(s).or_insert(0) += 1;
+            }
+            let mut freqs: Vec<_> = freq.into_iter().collect();
+            freqs.sort_unstable();
+            freqs
+        };
+        let mut lengths = code_lengths(&freqs);
+        while lengths.iter().any(|&(_, l)| l > MAX_CODE_LEN) {
+            for f in freqs.iter_mut() {
+                f.1 = (f.1 / 2).max(1);
+            }
+            lengths = code_lengths(&freqs);
+        }
+        let coded = canonical_codes(lengths);
+        let table: HashMap<u32, (u32, u64)> = coded
+            .iter()
+            .map(|&(sym, len, code)| (sym, (len, code)))
+            .collect();
+        let mut out = ByteWriter::new();
+        out.put_varint(coded.len() as u64);
+        for &(sym, len, _) in &coded {
+            out.put_varint(sym as u64);
+            out.put_u8(len as u8);
+        }
+        let mut bits = BitWriter::new();
+        for s in symbols {
+            let (len, code) = table[s];
+            bits.put_bits(code, len);
+        }
+        out.put_varint(symbols.len() as u64);
+        out.put_len_prefixed(&bits.finish());
+        out.finish()
+    }
+
+    /// Quantizer-like bins: `n` values within `half` of 32768.
+    fn bins_near_radius(n: u32, half: u32) -> Vec<u32> {
+        (0..n)
+            .map(|i| 32768 - half + (splitmix64(u64::from(i)) % u64::from(2 * half)) as u32)
+            .collect()
+    }
+
+    /// Counting and coding symbol 0 beside the window of the others gives
+    /// the spanning build's bytes: bins with and without 0, all zeros,
+    /// `{0, 1}`, `{0, 65535}`, `{0, 200000}` (sparse in the spanning
+    /// build, dense now), one symbol, and the hash-map fallback. One
+    /// recycled scratch serves every case, and every stream decodes.
+    #[test]
+    fn zero_beside_the_window_matches_the_spanning_build() {
+        let mut with_zeros = bins_near_radius(20_000, 500);
+        for i in (0..with_zeros.len()).step_by(97) {
+            with_zeros[i] = 0;
+        }
+        let alternate = |a: u32, b: u32| -> Vec<u32> {
+            (0..300u64)
+                .map(|i| if splitmix64(i) % 3 == 0 { a } else { b })
+                .collect()
+        };
+        let mut sparse: Vec<u32> = (0..500u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
+        sparse.extend([0; 40]);
+        let cases: Vec<(Vec<u32>, bool)> = vec![
+            (bins_near_radius(20_000, 500), false),
+            (with_zeros, false),
+            (vec![0; 300], false),
+            (alternate(0, 1), false),
+            (alternate(0, 65535), false),
+            (alternate(0, 200_000), false),
+            (alternate(1, 0), false),
+            (vec![32768; 100], false),
+            (vec![7], false),
+            (sparse, true),
+        ];
+        let mut scratch = HuffmanScratch::new();
+        let mut bit_buf = Vec::new();
+        for (ci, (symbols, is_sparse)) in cases.iter().enumerate() {
+            let enc = HuffmanEncoder::from_symbols_with(symbols, &mut scratch).unwrap();
+            assert_eq!(
+                matches!(enc.table, SymbolTable::Sparse(_)),
+                *is_sparse,
+                "case {ci}: table kind"
+            );
+            let mut w = ByteWriter::new();
+            enc.encode_with(symbols, &mut bit_buf, &mut w);
+            enc.recycle(&mut scratch);
+            let bytes = w.finish();
+            assert_eq!(bytes, encode_spanning(symbols), "case {ci}");
+            assert_eq!(
+                HuffmanDecoder::decode(&mut ByteReader::new(&bytes)).unwrap(),
+                *symbols,
+                "case {ci}"
+            );
+        }
+    }
+
+    /// A few zeros among bins near 32768 leave the recycled tables the
+    /// size of the bins' window, not of `[0, 33 K]`, and a slightly wider
+    /// window later grows them to exactly that, not to double.
+    #[test]
+    fn tables_hold_the_window_not_the_span_down_to_zero() {
+        let mut scratch = HuffmanScratch::new();
+        for half in [500u32, 550] {
+            let mut bins = bins_near_radius(20_000, half);
+            bins[7] = 0;
+            bins[9_000] = 0;
+            let enc = HuffmanEncoder::from_symbols_with(&bins, &mut scratch).unwrap();
+            enc.recycle(&mut scratch);
+            let window = 2 * half as usize;
+            for (name, cap) in [
+                ("counts", scratch.counts.capacity()),
+                ("dense", scratch.dense.capacity()),
+            ] {
+                assert!(
+                    (window - 16..=window + 16).contains(&cap),
+                    "{name}: capacity {cap} for a window of {window}"
+                );
+            }
+        }
     }
 }

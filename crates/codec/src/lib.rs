@@ -13,7 +13,9 @@
 //! * [`backend`] — the composed `bins → Huffman → LZSS` lossless backend,
 //! * [`scratch`] — reusable per-pipeline stage buffers; every stage above
 //!   has a `*_with` variant that stages its work in a recycled arena and
-//!   produces byte-identical output.
+//!   produces byte-identical output,
+//! * [`claim`] — claim-scheduled parallel work items and the process-wide
+//!   helper-thread budget, shared by chunk workers and the tuner.
 //!
 //! All decoders return [`CodecError`] on malformed input instead of
 //! panicking; corrupted streams must never crash a consumer.
@@ -21,6 +23,7 @@
 pub mod backend;
 pub mod bits;
 pub mod byteio;
+pub mod claim;
 pub mod huffman;
 pub mod lz;
 pub mod quantizer;
@@ -34,6 +37,7 @@ pub use backend::{
 };
 pub use bits::{BitReader, BitWriter};
 pub use byteio::{ByteReader, ByteWriter};
+pub use claim::{claim_each, Claims, HelperLease};
 pub use huffman::{HuffmanDecoder, HuffmanEncoder};
 pub use quantizer::{LinearQuantizer, Quantized};
 pub use scratch::{EntropyScratch, GrowCounter, Scratch};

@@ -22,7 +22,7 @@
 //! call, out of line once per point with the loop's registers spilled
 //! around it. The inline form equals `f64::round` wherever the
 //! truncation is exact, `|x| < 2^63`; `quantize` only rounds after its
-//! range check has bounded `|scaled|` below `radius - 1 < 2^32`.
+//! range check has bounded `|scaled|` below `radius - 1 < 2^31`.
 
 use qoz_tensor::Scalar;
 
@@ -48,6 +48,10 @@ impl LinearQuantizer {
     /// Default code radius (2^15), matching SZ's 65536-bin default.
     pub const DEFAULT_RADIUS: u32 = 1 << 15;
 
+    /// Largest code radius, `2^31 − 1`: the codes `[1, 2·radius − 1]`
+    /// and their count `2·radius` both fit in a `u32` up to here.
+    pub const MAX_RADIUS: u32 = u32::MAX / 2;
+
     /// Create a quantizer for absolute error bound `e > 0`.
     ///
     /// # Panics
@@ -57,13 +61,21 @@ impl LinearQuantizer {
     }
 
     /// Create a quantizer with an explicit code radius (power of two not
-    /// required; must be at least 2).
+    /// required).
+    ///
+    /// # Panics
+    /// Panics if `e` is not finite and positive, or if `radius` is
+    /// outside `2..=`[`Self::MAX_RADIUS`]: past it a code would wrap its
+    /// `u32` and decode to another value.
     pub fn with_radius(error_bound: f64, radius: u32) -> Self {
         assert!(
             error_bound.is_finite() && error_bound > 0.0,
             "error bound must be finite and positive, got {error_bound}"
         );
-        assert!(radius >= 2, "radius must be >= 2");
+        assert!(
+            (2..=Self::MAX_RADIUS).contains(&radius),
+            "radius must be in 2..=2^31-1, got {radius}"
+        );
         LinearQuantizer {
             error_bound,
             radius,
@@ -257,6 +269,48 @@ mod tests {
         let _ = LinearQuantizer::new(0.0);
     }
 
+    /// Past the cap, `3e9` would code as `2999999999`, which decodes to
+    /// `-1294967296`: the radius is refused instead.
+    #[test]
+    #[should_panic(expected = "radius must be in 2..=2^31-1")]
+    fn radius_past_the_cap_rejected() {
+        let _ = LinearQuantizer::with_radius(0.5, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "radius must be in 2..=2^31-1")]
+    fn radius_one_past_the_cap_rejected() {
+        let _ = LinearQuantizer::with_radius(0.5, LinearQuantizer::MAX_RADIUS + 1);
+    }
+
+    /// At the cap every code, the extremes included, decodes to the value
+    /// it was coded from, and the code count fits.
+    #[test]
+    fn codes_round_trip_at_the_radius_cap() {
+        let radius = LinearQuantizer::MAX_RADIUS;
+        let q = LinearQuantizer::with_radius(0.5, radius);
+        assert_eq!(q.num_codes(), u32::MAX - 1);
+        // `radius - 1.5` is the last tie inside the range; it rounds out
+        // to the extreme codes 1 and `2·radius − 1`.
+        let tie = f64::from(radius - 1) - 0.5;
+        for (value, code) in [
+            (tie, u32::MAX - 2),
+            (-tie, 1),
+            (f64::from(radius - 2), u32::MAX - 3),
+            (1.0, radius + 1),
+            (0.0, radius),
+        ] {
+            let out = q.quantize(value, 0.0);
+            assert_eq!(out.code, code, "code of {value}");
+            let back: f64 = q.reconstruct(out.code, 0.0);
+            assert_eq!(back, out.reconstructed, "decoded {value}");
+            assert!((back - value).abs() <= 0.5, "bound at {value}");
+        }
+        // The example that used to wrap is out of range at the cap.
+        assert_eq!(q.quantize(3e9, 0.0).code, 0);
+        assert_eq!(q.quantize(f64::from(radius - 1), 0.0).code, 0);
+    }
+
     /// [`LinearQuantizer::quantize`] as it was with `f64::round`: the
     /// oracle the inline rounding is checked against.
     fn quantize_libm<T: Scalar>(q: &LinearQuantizer, value: T, prediction: f64) -> Quantized<T> {
@@ -307,7 +361,7 @@ mod tests {
     /// value itself, at the widest radius).
     #[test]
     fn inline_round_matches_f64_round_on_ties_zeros_and_subnormals() {
-        let q = LinearQuantizer::with_radius(0.5, u32::MAX);
+        let q = LinearQuantizer::with_radius(0.5, LinearQuantizer::MAX_RADIUS);
         let mut ks: Vec<u64> = (0..64).collect();
         ks.extend([1 << 15, (1 << 24) - 1, 1 << 24, 1 << 31, (1 << 32) - 3]);
         let mut xs = vec![
@@ -350,7 +404,7 @@ mod tests {
     /// inside it, and the ties just inside, are coded as before.
     #[test]
     fn inline_round_matches_f64_round_at_the_code_range_edge() {
-        for radius in [2, 3, 1 << 15, 1 << 24, 1 << 30, u32::MAX] {
+        for radius in [2, 3, 1 << 15, 1 << 24, 1 << 30, LinearQuantizer::MAX_RADIUS] {
             let q = LinearQuantizer::with_radius(0.5, radius);
             let edge = (radius - 1) as f64;
             let tie = edge - 0.5;
@@ -391,7 +445,10 @@ mod tests {
 
     fn any_radius() -> impl proptest::prelude::Strategy<Value = u32> {
         use proptest::prelude::*;
-        prop_oneof![Just(LinearQuantizer::DEFAULT_RADIUS), 2u32..u32::MAX]
+        prop_oneof![
+            Just(LinearQuantizer::DEFAULT_RADIUS),
+            2u32..LinearQuantizer::MAX_RADIUS + 1
+        ]
     }
 
     proptest::proptest! {

@@ -8,11 +8,21 @@
 //! comparison sees is an exact coded size, and a change to any byte of
 //! that backend can flip a tuner decision (the golden bitstream pins see
 //! it). A trial is a deterministic function of its level-bound vector,
-//! so one [`autotune_params`] call runs each distinct vector once and
-//! stages every trial in one reused arena.
+//! so one [`autotune_params`] call runs each distinct vector once.
+//!
+//! The distinct unscaled vectors of the candidate grid are known before
+//! the Table-I walk starts, so they are claim-scheduled work items
+//! ([`qoz_codec::Claims`]): helper threads from the process-wide budget
+//! ([`qoz_codec::HelperLease`]) run them in candidate order, each in its
+//! own arena, while the calling thread walks, runs the walk's probes and
+//! fills any trial the walk reaches before a helper has claimed it.
+//! [`select_level_interps`] sweeps each level's candidates the same way,
+//! each worker on its own copy of one block at a time. Results are
+//! reduced in candidate order, so the plan is the same with any number
+//! of helpers, none included.
 
 use crate::config::level_error_bounds;
-use qoz_codec::{LinearQuantizer, Scratch};
+use qoz_codec::{claim_each, Claims, HelperLease, LinearQuantizer, Scratch};
 use qoz_metrics::{autocorr, ssim, QualityMetric};
 use qoz_predict::{base_point_count, traverse_level, LevelConfig};
 use qoz_sz3::{compress_with_spec_into, InterpSpec};
@@ -28,9 +38,6 @@ pub struct TrialResult {
     pub metric: f64,
 }
 
-/// Every `(alpha, beta)` candidate paired with its trial outcome.
-pub type TrialTable = Vec<((f64, f64), TrialResult)>;
-
 /// Level-adapted selection of the best-fit interpolator (Algorithm 1).
 ///
 /// For each level from `sel_levels` down to 1, every candidate
@@ -45,6 +52,18 @@ pub fn select_level_interps<T: Scalar>(
     sel_levels: u32,
     total_levels: u32,
 ) -> Vec<LevelConfig> {
+    let lease = HelperLease::take(LevelConfig::candidates().len() - 1);
+    select_with_helpers(blocks, abs_eb, sel_levels, total_levels, lease.count())
+}
+
+/// [`select_level_interps`] with `helpers` helper threads.
+fn select_with_helpers<T: Scalar>(
+    blocks: &[NdArray<T>],
+    abs_eb: f64,
+    sel_levels: u32,
+    total_levels: u32,
+    helpers: usize,
+) -> Vec<LevelConfig> {
     let total = total_levels.max(1) as usize;
     if blocks.is_empty() || sel_levels == 0 {
         return vec![LevelConfig::default(); total];
@@ -52,11 +71,8 @@ pub fn select_level_interps<T: Scalar>(
     let quant = LinearQuantizer::new(abs_eb);
 
     // Working buffers: anchors (base grid of each block) stay lossless,
-    // mirroring QoZ's anchored full-array pass. Each candidate runs on a
-    // copy of its block's working buffer, staged in a per-block buffer
-    // allocated once.
+    // mirroring QoZ's anchored full-array pass.
     let mut works: Vec<NdArray<T>> = blocks.to_vec();
-    let mut trials: Vec<NdArray<T>> = blocks.to_vec();
     let mut selected = vec![LevelConfig::default(); total];
 
     // Evaluate the default (cubic/ascending) first so that levels the
@@ -67,29 +83,19 @@ pub fn select_level_interps<T: Scalar>(
     let mut cands = LevelConfig::candidates();
     cands.sort_by_key(|c| (*c != LevelConfig::default()) as u8);
 
+    let largest = blocks.iter().map(NdArray::len).max().unwrap_or(0);
     for level in (1..=sel_levels).rev() {
+        // Each worker runs its candidates on its own copy of one working
+        // buffer at a time.
+        let errs = claim_each(
+            cands.len(),
+            helpers,
+            || vec![T::default(); largest],
+            |i, trial| level_error(&works, trial, level, cands[i], &quant),
+        );
         let mut best = LevelConfig::default();
         let mut best_err = f64::INFINITY;
-        for &cand in &cands {
-            let mut err = 0.0f64;
-            for (work, trial) in works.iter().zip(&mut trials) {
-                trial.as_mut_slice().copy_from_slice(work.as_slice());
-                let shape = trial.shape();
-                traverse_level(
-                    trial.as_mut_slice(),
-                    shape,
-                    level,
-                    cand,
-                    &mut |buf, off, pred| {
-                        let v = buf[off];
-                        let d = v.to_f64() - pred;
-                        if d.is_finite() {
-                            err += d.abs();
-                        }
-                        buf[off] = quant.quantize(v, pred).reconstructed;
-                    },
-                );
-            }
+        for (&cand, &err) in cands.iter().zip(&errs) {
             // Strict-improvement threshold: a candidate must beat the
             // incumbent by a measurable margin, not a rounding artifact.
             if err < best_err * (1.0 - 1e-9) {
@@ -119,6 +125,32 @@ pub fn select_level_interps<T: Scalar>(
         selected[l] = top;
     }
     selected
+}
+
+/// Total absolute prediction error of `cand` at `level` over every
+/// working buffer, each run on a copy in `trial` (at least as long as
+/// the longest buffer).
+fn level_error<T: Scalar>(
+    works: &[NdArray<T>],
+    trial: &mut [T],
+    level: u32,
+    cand: LevelConfig,
+    quant: &LinearQuantizer,
+) -> f64 {
+    let mut err = 0.0f64;
+    for work in works {
+        let trial = &mut trial[..work.len()];
+        trial.copy_from_slice(work.as_slice());
+        traverse_level(trial, work.shape(), level, cand, &mut |buf, off, pred| {
+            let v = buf[off];
+            let d = v.to_f64() - pred;
+            if d.is_finite() {
+                err += d.abs();
+            }
+            buf[off] = quant.quantize(v, pred).reconstructed;
+        });
+    }
+    err
 }
 
 /// Aggregate a metric over per-block (original, reconstruction) pairs in
@@ -178,8 +210,7 @@ impl MetricSum {
 }
 
 /// The `(alpha, beta)` trials of one tuning call: the sampled blocks and
-/// settings they share, one arena they all stage in, and the outcomes
-/// already run.
+/// the settings they share.
 struct Trials<'a, T: Scalar> {
     blocks: &'a [NdArray<T>],
     abs_eb: f64,
@@ -187,69 +218,127 @@ struct Trials<'a, T: Scalar> {
     block_levels: u32,
     metric: QualityMetric,
     global_range: f64,
-    scratch: Scratch<T>,
-    /// Every block's bins of the current trial, concatenated.
-    bins: Vec<u32>,
-    /// Outcomes keyed on the bit patterns of their level bounds, which
-    /// determine a trial completely; a probe's shifted bound enters
-    /// through them.
-    done: Vec<(Vec<u64>, TrialResult)>,
 }
 
-impl<'a, T: Scalar> Trials<'a, T> {
-    fn new(
-        blocks: &'a [NdArray<T>],
-        abs_eb: f64,
-        level_configs: &'a [LevelConfig],
-        block_levels: u32,
-        metric: QualityMetric,
-        global_range: f64,
-    ) -> Self {
-        Trials {
-            blocks,
-            abs_eb,
-            level_configs,
-            block_levels,
-            metric,
-            global_range,
-            scratch: Scratch::new(),
-            bins: Vec::new(),
-            done: Vec::new(),
-        }
+/// One worker's staging for trials: the engine's stage buffers, and
+/// every block's bins of the current trial, concatenated.
+#[derive(Default)]
+struct Arena<T: Scalar> {
+    scratch: Scratch<T>,
+    bins: Vec<u32>,
+}
+
+/// A candidate grid's distinct unscaled level-bound vectors, in order of
+/// first appearance, and the vector each candidate has.
+struct Grid {
+    ebs: Vec<Vec<f64>>,
+    of: Vec<usize>,
+}
+
+/// What one Table-I walk settled on, and the trials it ran (which only
+/// the oracle tests read).
+#[cfg_attr(not(test), allow(dead_code))]
+struct Walk {
+    best: (f64, f64),
+    /// Outcome of each of the grid's distinct vectors.
+    results: Vec<TrialResult>,
+    /// Probe trials run at a shifted bound.
+    probes: usize,
+}
+
+/// Level bounds compare as bit patterns: those determine a trial.
+fn same_bounds(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .map(|e| e.to_bits())
+        .eq(b.iter().map(|e| e.to_bits()))
+}
+
+impl<T: Scalar> Trials<'_, T> {
+    /// Level bounds of `(alpha, beta)` at error bound `abs_eb * eb_scale`.
+    fn level_ebs(&self, alpha: f64, beta: f64, eb_scale: f64) -> Vec<f64> {
+        level_error_bounds(self.abs_eb * eb_scale, alpha, beta, self.block_levels)
     }
 
-    /// The outcome of `(alpha, beta)` at error bound `abs_eb * eb_scale`,
-    /// run only if no earlier trial of this call had the same level
-    /// bounds.
-    fn get(&mut self, alpha: f64, beta: f64, eb_scale: f64) -> TrialResult {
-        let ebs = level_error_bounds(self.abs_eb * eb_scale, alpha, beta, self.block_levels);
-        let key: Vec<u64> = ebs.iter().map(|e| e.to_bits()).collect();
-        if let Some(&(_, res)) = self.done.iter().find(|(k, _)| *k == key) {
-            return res;
+    /// The distinct unscaled level-bound vectors of `candidates`.
+    fn grid(&self, candidates: &[(f64, f64)]) -> Grid {
+        let mut ebs: Vec<Vec<f64>> = Vec::new();
+        let of = candidates
+            .iter()
+            .map(|&(a, b)| {
+                let v = self.level_ebs(a, b, 1.0);
+                ebs.iter()
+                    .position(|e| same_bounds(e, &v))
+                    .unwrap_or_else(|| {
+                        ebs.push(v);
+                        ebs.len() - 1
+                    })
+            })
+            .collect();
+        Grid { ebs, of }
+    }
+
+    /// The Table-I walk over `candidates`, first to last, with up to
+    /// `helpers` helper threads running the grid's trials ahead of it.
+    /// Probes run on the calling thread, each distinct one once.
+    fn walk(&self, candidates: &[(f64, f64)], grid: &Grid, helpers: usize) -> Walk {
+        assert!(!candidates.is_empty());
+        if self.blocks.is_empty() {
+            return Walk {
+                best: candidates[0],
+                results: Vec::new(),
+                probes: 0,
+            };
         }
-        let res = self.run(ebs);
-        self.done.push((key, res));
-        res
+        let claims = Claims::new(grid.ebs.len());
+        let run_slot = |i: usize, arena: &mut Arena<T>| self.run(&grid.ebs[i], arena);
+        let (best, probes) = claims.with_helpers(helpers, Arena::default, run_slot, || {
+            let mut arena = Arena::default();
+            let mut probes: Vec<(Vec<f64>, TrialResult)> = Vec::new();
+            let mut best = candidates[0];
+            let mut best_res = *claims.get(grid.of[0], |i| run_slot(i, &mut arena));
+            for (&(a, b), &slot) in candidates.iter().zip(&grid.of).skip(1) {
+                let res = *claims.get(slot, |i| run_slot(i, &mut arena));
+                let probe = |scale| {
+                    let ebs = self.level_ebs(a, b, scale);
+                    if let Some(&(_, r)) = probes.iter().find(|(e, _)| same_bounds(e, &ebs)) {
+                        return r;
+                    }
+                    let r = self.run(&ebs, &mut arena);
+                    probes.push((ebs, r));
+                    r
+                };
+                if solution_ii_better(self.metric, best_res, res, probe) {
+                    best = (a, b);
+                    best_res = res;
+                }
+            }
+            (best, probes.len())
+        });
+        Walk {
+            best,
+            results: claims.into_vec(),
+            probes,
+        }
     }
 
     /// Compress every sampled block at `level_ebs`, then entropy-code the
     /// concatenated bins.
-    fn run(&mut self, level_ebs: Vec<f64>) -> TrialResult {
+    fn run(&self, level_ebs: &[f64], arena: &mut Arena<T>) -> TrialResult {
         let spec = InterpSpec {
             anchor_stride: Some(1u32 << self.block_levels),
             max_level: self.block_levels,
             level_configs: self.level_configs[..self.block_levels as usize].to_vec(),
-            level_ebs,
+            level_ebs: level_ebs.to_vec(),
             quant_radius: LinearQuantizer::DEFAULT_RADIUS,
         };
-        let s = &mut self.scratch;
-        self.bins.clear();
+        let s = &mut arena.scratch;
+        arena.bins.clear();
         let mut side_bytes = 0usize;
         let mut points = 0usize;
         let mut metric = MetricSum::default();
         for block in self.blocks {
             compress_with_spec_into(block, &spec, s);
-            self.bins.extend_from_slice(&s.bins);
+            arena.bins.extend_from_slice(&s.bins);
             side_bytes += s.unpred.len() + s.anchors.len();
             points += block.len();
             let recon = NdArray::from_vec(block.shape(), std::mem::take(&mut s.work));
@@ -258,7 +347,7 @@ impl<'a, T: Scalar> Trials<'a, T> {
         }
         // Paper §VI-A: prediction runs per block, but the entropy stage is
         // applied to the *aggregated* bins for an accurate bit-rate estimate.
-        qoz_codec::encode_bins_with(&self.bins, &mut s.entropy, &mut s.section);
+        qoz_codec::encode_bins_with(&arena.bins, &mut s.entropy, &mut s.section);
         let bins_bits = s.section.len() as f64 * 8.0;
         TrialResult {
             bits_per_point: (bins_bits + side_bytes as f64 * 8.0) / points.max(1) as f64,
@@ -321,62 +410,17 @@ pub fn autotune_params<T: Scalar>(
     global_range: f64,
     candidates: &[(f64, f64)],
 ) -> (f64, f64) {
-    let mut trials = Trials::new(
+    let trials = Trials {
         blocks,
         abs_eb,
         level_configs,
         block_levels,
         metric,
         global_range,
-    );
-    walk(&mut trials, candidates)
-}
-
-/// The Table-I walk over `candidates`, first to last.
-fn walk<T: Scalar>(trials: &mut Trials<'_, T>, candidates: &[(f64, f64)]) -> (f64, f64) {
-    assert!(!candidates.is_empty());
-    if trials.blocks.is_empty() {
-        return candidates[0];
-    }
-    let metric = trials.metric;
-    let mut best = candidates[0];
-    let mut best_res = trials.get(best.0, best.1, 1.0);
-    for &(a, b) in &candidates[1..] {
-        let res = trials.get(a, b, 1.0);
-        if solution_ii_better(metric, best_res, res, |scale| trials.get(a, b, scale)) {
-            best = (a, b);
-            best_res = res;
-        }
-    }
-    best
-}
-
-/// Debug/benchmark helper: evaluate every candidate and return the full
-/// trial table alongside the winner.
-#[allow(clippy::too_many_arguments)]
-pub fn autotune_with_table<T: Scalar>(
-    blocks: &[NdArray<T>],
-    abs_eb: f64,
-    level_configs: &[LevelConfig],
-    block_levels: u32,
-    metric: QualityMetric,
-    global_range: f64,
-    candidates: &[(f64, f64)],
-) -> ((f64, f64), TrialTable) {
-    let mut trials = Trials::new(
-        blocks,
-        abs_eb,
-        level_configs,
-        block_levels,
-        metric,
-        global_range,
-    );
-    let winner = walk(&mut trials, candidates);
-    let table = candidates
-        .iter()
-        .map(|&(a, b)| ((a, b), trials.get(a, b, 1.0)))
-        .collect();
-    (winner, table)
+    };
+    let grid = trials.grid(candidates);
+    let lease = HelperLease::take(grid.ebs.len().saturating_sub(1));
+    trials.walk(candidates, &grid, lease.count()).best
 }
 
 /// Make blocks "anchored" for tuning: the engine treats their base grid
@@ -498,31 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn autotune_table_covers_all_candidates() {
-        let blocks = smooth_blocks();
-        let configs = vec![LevelConfig::default(); 4];
-        let cands = vec![(1.0, 1.0), (1.5, 2.0)];
-        let (winner, table) = autotune_with_table(
-            &blocks,
-            1e-3,
-            &configs,
-            4,
-            QualityMetric::CompressionRatio,
-            2.0,
-            &cands,
-        );
-        assert_eq!(table.len(), 2);
-        assert!(cands.contains(&winner));
-        // CR mode: winner must have the minimum bits.
-        let min = table
-            .iter()
-            .map(|(_, r)| r.bits_per_point)
-            .fold(f64::INFINITY, f64::min);
-        let w = table.iter().find(|(c, _)| *c == winner).unwrap().1;
-        assert!(w.bits_per_point <= min + 1e-9);
-    }
-
-    #[test]
     fn aggregate_psnr_uses_global_range() {
         let blocks = smooth_blocks();
         let recons: Vec<_> = blocks
@@ -578,14 +597,14 @@ mod tests {
         }
 
         fn trials(&self) -> Trials<'_, T> {
-            Trials::new(
-                &self.blocks,
-                self.abs_eb,
-                &self.configs,
-                self.levels,
-                self.metric,
-                self.range,
-            )
+            Trials {
+                blocks: &self.blocks,
+                abs_eb: self.abs_eb,
+                level_configs: &self.configs,
+                block_levels: self.levels,
+                metric: self.metric,
+                global_range: self.range,
+            }
         }
 
         /// One trial as the tuner ran it before trials were shared: each
@@ -647,26 +666,44 @@ mod tests {
     ];
 
     /// Shared trials pick the oracle's `(alpha, beta)` with bit-identical
-    /// outcomes, and skip at least the grid's duplicate level bounds.
+    /// outcomes, with 0 to 3 helpers, and skip at least the grid's
+    /// duplicate level bounds. In CR mode the winner also has the fewest
+    /// bits of all candidates.
     fn check_against_oracle<T: Scalar>(data: &NdArray<T>, grid_duplicates: usize) {
         let cands = QozConfig::default().param_candidates();
         for metric in METRICS {
             let setup = Setup::new(data, metric);
             let (want, oracle_runs) = setup.oracle(&cands);
-            let mut trials = setup.trials();
-            assert_eq!(walk(&mut trials, &cands), want, "{metric:?}");
-            assert!(
-                trials.done.len() + grid_duplicates <= oracle_runs,
-                "{metric:?}: {} of {oracle_runs} trials run",
-                trials.done.len()
-            );
-            for &(a, b) in &cands {
-                let (got, fresh) = (trials.get(a, b, 1.0), setup.fresh_trial(a, b, 1.0));
-                assert_eq!(
-                    (got.bits_per_point.to_bits(), got.metric.to_bits()),
-                    (fresh.bits_per_point.to_bits(), fresh.metric.to_bits()),
-                    "{metric:?} ({a}, {b})"
+            let fresh: Vec<TrialResult> = cands
+                .iter()
+                .map(|&(a, b)| setup.fresh_trial(a, b, 1.0))
+                .collect();
+            let trials = setup.trials();
+            let grid = trials.grid(&cands);
+            for helpers in 0..=3 {
+                let walk = trials.walk(&cands, &grid, helpers);
+                assert_eq!(walk.best, want, "{metric:?}, {helpers} helpers");
+                let runs = walk.results.len() + walk.probes;
+                assert!(
+                    runs + grid_duplicates <= oracle_runs,
+                    "{metric:?}, {helpers} helpers: {runs} of {oracle_runs} trials run"
                 );
+                for ((&(a, b), &slot), fresh) in cands.iter().zip(&grid.of).zip(&fresh) {
+                    let got = walk.results[slot];
+                    assert_eq!(
+                        (got.bits_per_point.to_bits(), got.metric.to_bits()),
+                        (fresh.bits_per_point.to_bits(), fresh.metric.to_bits()),
+                        "{metric:?} ({a}, {b}), {helpers} helpers"
+                    );
+                }
+            }
+            if metric == QualityMetric::CompressionRatio {
+                let fewest = fresh
+                    .iter()
+                    .map(|r| r.bits_per_point)
+                    .fold(f64::INFINITY, f64::min);
+                let won = fresh[cands.iter().position(|&c| c == want).unwrap()];
+                assert_eq!(won.bits_per_point, fewest, "CR winner {want:?}");
             }
         }
     }
@@ -702,16 +739,114 @@ mod tests {
         let blocks = smooth_blocks();
         let configs = vec![LevelConfig::default(); 6];
         for (levels, distinct) in [(4, 13), (6, 15)] {
-            let mut trials = Trials::new(
-                &blocks,
-                1e-3,
-                &configs,
-                levels,
-                QualityMetric::CompressionRatio,
-                2.0,
-            );
-            walk(&mut trials, &cands);
-            assert_eq!(trials.done.len(), distinct, "{levels} levels");
+            let trials = Trials {
+                blocks: &blocks,
+                abs_eb: 1e-3,
+                level_configs: &configs,
+                block_levels: levels,
+                metric: QualityMetric::CompressionRatio,
+                global_range: 2.0,
+            };
+            let grid = trials.grid(&cands);
+            assert_eq!(grid.ebs.len(), distinct, "{levels} levels");
+            let walk = trials.walk(&cands, &grid, 0);
+            assert_eq!((walk.results.len(), walk.probes), (distinct, 0));
         }
+    }
+
+    /// [`select_level_interps`] as it was before candidates were
+    /// claim-scheduled: one thread, one set of trial buffers.
+    fn select_serial<T: Scalar>(
+        blocks: &[NdArray<T>],
+        abs_eb: f64,
+        sel_levels: u32,
+        total_levels: u32,
+    ) -> Vec<LevelConfig> {
+        let total = total_levels.max(1) as usize;
+        if blocks.is_empty() || sel_levels == 0 {
+            return vec![LevelConfig::default(); total];
+        }
+        let quant = LinearQuantizer::new(abs_eb);
+        let mut works: Vec<NdArray<T>> = blocks.to_vec();
+        let mut trials: Vec<NdArray<T>> = blocks.to_vec();
+        let mut selected = vec![LevelConfig::default(); total];
+        let mut cands = LevelConfig::candidates();
+        cands.sort_by_key(|c| (*c != LevelConfig::default()) as u8);
+        for level in (1..=sel_levels).rev() {
+            let mut best = LevelConfig::default();
+            let mut best_err = f64::INFINITY;
+            for &cand in &cands {
+                let mut err = 0.0f64;
+                for (work, trial) in works.iter().zip(&mut trials) {
+                    trial.as_mut_slice().copy_from_slice(work.as_slice());
+                    let shape = trial.shape();
+                    traverse_level(
+                        trial.as_mut_slice(),
+                        shape,
+                        level,
+                        cand,
+                        &mut |buf, off, pred| {
+                            let v = buf[off];
+                            let d = v.to_f64() - pred;
+                            if d.is_finite() {
+                                err += d.abs();
+                            }
+                            buf[off] = quant.quantize(v, pred).reconstructed;
+                        },
+                    );
+                }
+                if err < best_err * (1.0 - 1e-9) {
+                    best_err = err;
+                    best = cand;
+                }
+            }
+            selected[(level - 1) as usize] = best;
+            for work in &mut works {
+                let shape = work.shape();
+                traverse_level(
+                    work.as_mut_slice(),
+                    shape,
+                    level,
+                    best,
+                    &mut |buf, off, pred| {
+                        buf[off] = quant.quantize(buf[off], pred).reconstructed;
+                    },
+                );
+            }
+        }
+        let top = selected[(sel_levels - 1) as usize];
+        for l in sel_levels as usize..total {
+            selected[l] = top;
+        }
+        selected
+    }
+
+    /// The claim-scheduled sweep picks the serial sweep's interpolators
+    /// with 1 to 4 workers, on 2-D and 3-D sample blocks in f32 and f64
+    /// across bounds, and on the synthetic smooth blocks.
+    #[test]
+    fn claimed_selection_matches_the_serial_sweep() {
+        fn check<T: Scalar>(blocks: &[NdArray<T>], abs_eb: f64, levels: u32) {
+            let want = select_serial(blocks, abs_eb, levels, levels + 1);
+            for helpers in 0..=3 {
+                let got = select_with_helpers(blocks, abs_eb, levels, levels + 1, helpers);
+                assert_eq!(got, want, "eb {abs_eb}, {helpers} helpers");
+            }
+        }
+        for ds in [Dataset::CesmAtm, Dataset::Miranda] {
+            let data = ds.generate(SizeClass::Tiny, 0);
+            let wide = NdArray::from_vec(
+                data.shape(),
+                data.as_slice().iter().map(|&v| f64::from(v)).collect(),
+            );
+            let setup = Setup::new(&data, QualityMetric::Psnr);
+            let wide_setup = Setup::new(&wide, QualityMetric::Psnr);
+            for rel in [1e-2, 1e-4] {
+                let eb = rel * data.value_range();
+                check(&setup.blocks, eb, setup.levels);
+                check(&wide_setup.blocks, eb, wide_setup.levels);
+            }
+        }
+        check(&smooth_blocks(), 1e-5, 4);
     }
 }

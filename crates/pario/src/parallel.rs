@@ -1,13 +1,13 @@
 //! Thread-parallel per-rank compression.
 //!
 //! Workers claim the next chunk index from a shared counter until none
-//! are left, so a slow chunk never idles the rest. The calling thread is
-//! one of them: a call spawns `min(threads, chunks) − 1` scoped threads
-//! (`std::thread::scope`, no `'static` bound needed) and none for a
-//! single chunk. Each worker hands its `(index, result)` pairs back
-//! through its join, and results land by index, so chunk order — the
-//! serial-equals-parallel determinism invariant — and the first error
-//! by index hold whatever the interleaving.
+//! are left, so a slow chunk never idles the rest
+//! ([`qoz_codec::claim_each`], the loop the tuner's trials share). The
+//! calling thread is one of them: a call spawns `min(threads, chunks) − 1`
+//! scoped threads (`std::thread::scope`, no `'static` bound needed) and
+//! none for a single chunk. Each result lands in its chunk's slot, so
+//! chunk order — the serial-equals-parallel determinism invariant — and
+//! the first error by index hold whatever the interleaving.
 //!
 //! Each worker owns one [`Scratch`] arena for every chunk it claims — on
 //! both directions of the pipeline — so stage buffers (working copy,
@@ -18,9 +18,8 @@
 //! the serial-equals-parallel invariant is untouched.
 
 use qoz_codec::stream::{Compressor, ErrorBound};
-use qoz_codec::{Result, Scratch};
+use qoz_codec::{claim_each, HelperLease, Result, Scratch};
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Split an array into `n` near-equal chunks along dimension 0 (the
 /// usual HPC domain decomposition). Returns fewer chunks when dim 0 is
@@ -46,51 +45,13 @@ pub fn chunk_along_dim0<T: Scalar>(data: &NdArray<T>, n: usize) -> Vec<NdArray<T
     out
 }
 
-/// Run `work` on every index in `0..n` with up to `threads` workers,
-/// the calling thread among them, and return the results in index order.
-/// Each worker passes one [`Scratch`] to every index it claims.
-fn claim_each<T, R>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize, &mut Scratch<T>) -> R + Sync,
-) -> Vec<R>
-where
-    T: Scalar,
-    R: Send,
-{
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut scratch = Scratch::new();
-        let mut done = Vec::new();
-        loop {
-            // Relaxed: the counter only hands out indices; the results
-            // travel back through the join.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, work(i, &mut scratch)));
-        }
-    };
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..threads.min(n)).map(|_| s.spawn(worker)).collect();
-        let mine = worker();
-        let theirs = spawned
-            .into_iter()
-            .flat_map(|h| h.join().expect("chunk worker panicked"));
-        for (i, r) in mine.into_iter().chain(theirs) {
-            slots[i] = Some(r);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index is claimed once"))
-        .collect()
-}
-
 /// Compress every chunk with `threads` workers; returns blobs in chunk
 /// order.
+///
+/// The spawned workers are reserved from the process-wide helper budget
+/// while they run ([`HelperLease`]), so a QoZ plan inside a worker finds
+/// the cores taken and runs its trials on its own thread instead of
+/// adding threads, and trial arenas, past the cores.
 pub fn compress_chunks<T, C>(
     compressor: &C,
     chunks: &[NdArray<T>],
@@ -101,7 +62,9 @@ where
     T: Scalar,
     C: Compressor<T> + ?Sized,
 {
-    claim_each(chunks.len(), threads, |i, scratch| {
+    let helpers = threads.min(chunks.len()).saturating_sub(1);
+    let _reserved = HelperLease::take(helpers);
+    claim_each(chunks.len(), helpers, Scratch::new, |i, scratch| {
         compressor.compress_with_scratch(&chunks[i], bound, scratch)
     })
 }
@@ -150,12 +113,17 @@ where
 {
     // Each chunk decodes into its own array, grown only once its
     // payload agrees with its header.
-    claim_each(blobs.len(), threads, |i, scratch| {
-        let mut chunk = NdArray::zeros(Shape::d1(1));
-        compressor
-            .decompress_into(&blobs[i], scratch, &mut chunk)
-            .map(|()| chunk)
-    })
+    claim_each(
+        blobs.len(),
+        threads.saturating_sub(1),
+        Scratch::new,
+        |i, scratch| {
+            let mut chunk = NdArray::zeros(Shape::d1(1));
+            compressor
+                .decompress_into(&blobs[i], scratch, &mut chunk)
+                .map(|()| chunk)
+        },
+    )
     .into_iter()
     .collect()
 }

@@ -20,7 +20,10 @@
 //! - `huffman build`: `HuffmanEncoder::from_symbols_with`, ns per bin;
 //! - `huffman encode`: `HuffmanEncoder::encode_with`, ns per bin;
 //! - `lzss`: `lzss_compress_with` over the Huffman bytes, ns per byte;
-//! - `encode_bins_with`: the whole bin section, ns per bin.
+//! - `encode_bins_with`: the whole bin section, ns per bin;
+//! - `plan`: the whole cold tune, `Qoz::plan`, ms per plan. Its trials
+//!   run on as many cores as `available_parallelism()` reports, so
+//!   `taskset -c 0` gives the one-worker time.
 //!
 //! The probe calls only public items that predate it, so the same file
 //! runs against older checkouts for a before/after comparison.
@@ -150,9 +153,11 @@ fn main() {
     let field_points: usize = inputs.iter().map(|i| i.field.len()).sum();
     let bins: usize = inputs.iter().map(|i| i.bins.len()).sum();
     let huff_bytes: usize = inputs.iter().map(|i| i.huff.len()).sum();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "12 field-dump fields: {field_points} points; one trial each: {trial_points} points, \
-         {bins} bins, {huff_bytes} Huffman bytes; best of {reps} rounds x {PASSES} passes"
+         {bins} bins, {huff_bytes} Huffman bytes; best of {reps} rounds x {PASSES} passes; \
+         {cores} cores available"
     );
 
     let mut s = Scratch::<f32>::new();
@@ -202,6 +207,13 @@ fn main() {
         }
     });
 
+    let qoz = Qoz::for_metric(QualityMetric::Psnr);
+    let plan = best_ns(reps, || {
+        for i in &inputs {
+            black_box(qoz.plan(black_box(&i.field), ErrorBound::Rel(1e-3)));
+        }
+    });
+
     println!("{:<24} {:>10}", "kernel", "best");
     for (name, ns, per, unit) in [
         (
@@ -218,4 +230,6 @@ fn main() {
     ] {
         println!("{name:<24} {:>10.3} {unit}", ns / per as f64);
     }
+    let per_plan_ms = plan / inputs.len() as f64 / 1e6;
+    println!("{:<24} {per_plan_ms:>10.3} ms/plan", "plan");
 }
