@@ -12,15 +12,13 @@ pub fn read_raw<T: Scalar>(path: &str, shape: Shape) -> Result<NdArray<T>, CliEr
     let expect = shape.len() * T::BYTES;
     let mut buf = Vec::with_capacity(expect);
     f.read_to_end(&mut buf)?;
-    if buf.len() != expect {
-        return Err(CliError::runtime(format!(
+    NdArray::from_le_bytes(shape, &buf).ok_or_else(|| {
+        CliError::runtime(format!(
             "{path}: file is {} bytes but shape {:?} needs {expect}",
             buf.len(),
             shape.dims()
-        )));
-    }
-    let data: Vec<T> = buf.chunks_exact(T::BYTES).map(T::from_le_slice).collect();
-    Ok(NdArray::from_vec(shape, data))
+        ))
+    })
 }
 
 /// Write a raw little-endian array.
@@ -33,11 +31,7 @@ pub fn write_raw<T: Scalar>(path: &str, data: &NdArray<T>) -> Result<(), CliErro
 /// Write a raw little-endian array into any byte sink (the atomic
 /// temp-file writers hand their sink here).
 pub fn write_raw_into<T: Scalar>(sink: &mut dyn Write, data: &NdArray<T>) -> Result<(), CliError> {
-    let mut buf = Vec::with_capacity(data.len() * T::BYTES);
-    for v in data.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes_vec());
-    }
-    sink.write_all(&buf)?;
+    sink.write_all(&data.to_le_bytes())?;
     Ok(())
 }
 

@@ -344,7 +344,7 @@ mod tests {
             quantize_libm(q, value, prediction),
         );
         got.code == want.code
-            && got.reconstructed.to_le_bytes_vec() == want.reconstructed.to_le_bytes_vec()
+            && got.reconstructed.to_f64().to_bits() == want.reconstructed.to_f64().to_bits()
     }
 
     fn up(x: f64) -> f64 {

@@ -222,17 +222,13 @@ impl Client {
         bound: ErrorBound,
         budget_ms: u64,
     ) -> Result<(u8, Vec<u8>), ClientError> {
-        let mut raw = Vec::with_capacity(data.len() * T::BYTES);
-        for &v in data.as_slice() {
-            raw.extend_from_slice(&v.to_le_bytes_vec());
-        }
         let req = Request::Compress {
             name: name.to_string(),
             scalar_tag: T::TYPE_TAG,
             dims: data.shape().dims().to_vec(),
             bound,
             budget_ms,
-            raw,
+            raw: data.to_le_bytes(),
         };
         match self.call(&req)? {
             Response::Compressed { outcome, blob } => Ok((outcome, blob)),
@@ -300,15 +296,8 @@ fn decode_slab<T: Scalar>(
     if scalar_tag != T::TYPE_TAG {
         return Err(ClientError::Unexpected("scalar type mismatch"));
     }
-    let elems: usize = dims.iter().product();
-    if elems.checked_mul(T::BYTES) != Some(raw.len()) {
-        return Err(ClientError::Unexpected("slab byte count disagrees"));
-    }
-    let mut vals = Vec::with_capacity(elems);
-    for chunk in raw.chunks_exact(T::BYTES) {
-        vals.push(T::from_le_slice(chunk));
-    }
-    Ok(NdArray::from_vec(Shape::new(dims), vals))
+    NdArray::from_le_bytes(Shape::new(dims), raw)
+        .ok_or(ClientError::Unexpected("slab byte count disagrees"))
 }
 
 #[cfg(test)]

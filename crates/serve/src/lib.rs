@@ -8,11 +8,12 @@
 //! crashes, kill -9 — so this crate treats robustness as the design
 //! axis, not an afterthought:
 //!
-//! * **Framed protocol** ([`protocol`]) — length-prefixed, checksummed
-//!   frames over a transport-abstract [`channel::Channel`]
-//!   (TCP or Unix socket). Nothing is trusted before validation; a
-//!   hostile peer earns a typed error, never a panic or an allocation
-//!   proportional to a lied-about length.
+//! * **Framed protocol** ([`protocol`]) — length-prefixed frames whose
+//!   payloads carry an XXH64 checksum, over a transport-abstract
+//!   [`channel::Channel`] (TCP or Unix socket). Nothing is trusted
+//!   before validation; a hostile peer, or one speaking an older
+//!   protocol version, earns a typed error, never a panic or an
+//!   allocation proportional to a lied-about length.
 //! * **Bounded admission** ([`server`]) — requests queue into a
 //!   [`qoz_pario::BoundedQueue`]; when it is full the daemon answers
 //!   [`protocol::ErrorCode::Overloaded`] *immediately* instead of

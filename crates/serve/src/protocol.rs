@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! +--------+------+----------------+-----------+----------------+
-//! | "QZRP" | kind | payload_len u32| payload   | fnv1a64(payload)|
-//! | 4 B    | 1 B  | LE             | len bytes | u64 LE          |
+//! | "QZR2" | kind | payload_len u32| payload   | xxh64(payload) |
+//! | 4 B    | 1 B  | LE             | len bytes | seed 0, u64 LE |
 //! +--------+------+----------------+-----------+----------------+
 //! ```
 //!
@@ -18,6 +18,14 @@
 //! fault-injected peer can at worst earn itself a [`FrameError`],
 //! never a panic or an allocation proportional to a lied-about length.
 //!
+//! The checksum is XXH64 with seed 0, the content checksum of the zstd
+//! frame format. Both ends run it over every payload, so its speed is
+//! part of every request's latency: it hashes four independent 8-byte
+//! lanes per 32-byte stripe, where the FNV-1a-64 of the first protocol
+//! version (magic `"QZRP"`) took a multiply per byte, one after the
+//! other. A peer that still speaks that version fails its first frame
+//! with [`FrameError::BadMagic`], never with a checksum mismatch.
+//!
 //! Payload encodings reuse the workspace byte toolkit
 //! ([`ByteWriter`]/[`ByteReader`]), so request decoding inherits the
 //! same varint/length-prefix validation the codec streams use.
@@ -26,8 +34,9 @@ use qoz_codec::stream::ErrorBound;
 use qoz_codec::{ByteReader, ByteWriter, CodecError};
 use std::io::{Read, Write};
 
-/// Frame magic: "QZRP" (QoZ Request Protocol).
-pub const FRAME_MAGIC: [u8; 4] = *b"QZRP";
+/// Frame magic: "QZR2" (QoZ Request protocol, version 2: XXH64
+/// checksums).
+pub const FRAME_MAGIC: [u8; 4] = *b"QZR2";
 /// Fixed frame header length: magic + kind + payload length.
 pub const FRAME_HEADER_LEN: usize = 9;
 /// Hard cap on a frame payload. A declared length above this is
@@ -133,7 +142,7 @@ pub fn write_frame(w: &mut dyn Write, kind: u8, payload: &[u8]) -> std::io::Resu
     head[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.write_all(&head)?;
     w.write_all(payload)?;
-    w.write_all(&qoz_archive::fnv1a(payload).to_le_bytes())?;
+    w.write_all(&xxh64(payload).to_le_bytes())?;
     w.flush()
 }
 
@@ -159,10 +168,83 @@ pub fn read_frame(r: &mut dyn Read, max_payload: usize) -> Result<(u8, Vec<u8>),
     r.read_exact(&mut payload)?;
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
-    if qoz_archive::fnv1a(&payload) != u64::from_le_bytes(sum) {
+    if xxh64(&payload) != u64::from_le_bytes(sum) {
         return Err(FrameError::BadChecksum);
     }
     Ok((kind, payload))
+}
+
+const PRIME1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn read_u64(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(w)
+}
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME1)
+}
+
+fn xxh64_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh64_round(0, acc))
+        .wrapping_mul(PRIME1)
+        .wrapping_add(PRIME4)
+}
+
+/// XXH64 of `bytes` with seed 0 (the frame checksum).
+fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [
+            PRIME1.wrapping_add(PRIME2),
+            PRIME2,
+            0,
+            PRIME1.wrapping_neg(),
+        ];
+        for s in &mut stripes {
+            acc[0] = xxh64_round(acc[0], read_u64(&s[0..]));
+            acc[1] = xxh64_round(acc[1], read_u64(&s[8..]));
+            acc[2] = xxh64_round(acc[2], read_u64(&s[16..]));
+            acc[3] = xxh64_round(acc[3], read_u64(&s[24..]));
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| xxh64_merge(h, a))
+    } else {
+        PRIME5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h ^= xxh64_round(0, read_u64(w));
+        h = h.rotate_left(27).wrapping_mul(PRIME1).wrapping_add(PRIME4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        h ^= u64::from(word).wrapping_mul(PRIME1);
+        h = h.rotate_left(23).wrapping_mul(PRIME2).wrapping_add(PRIME3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(PRIME5);
+        h = h.rotate_left(11).wrapping_mul(PRIME1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME3);
+    h ^ (h >> 32)
 }
 
 /// Typed failure codes carried by [`kind::ERROR`] responses. The
@@ -921,6 +1003,34 @@ mod tests {
             read_frame(&mut framed.as_slice(), MAX_PAYLOAD),
             Err(FrameError::BadChecksum)
         ));
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_seed_zero_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one 32-byte stripe, then the 4- and 1-byte tails.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        // Lengths 0..=96 take every path: under one stripe, one to three
+        // stripes, and each mix of 8-, 4- and 1-byte tails.
+        let data: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            let mut buf = data[..len].to_vec();
+            let sound = xxh64(&buf);
+            for bit in 0..len * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(xxh64(&buf), sound, "length {len}, bit {bit}");
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

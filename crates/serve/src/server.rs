@@ -892,11 +892,8 @@ fn serve_compress<T: Scalar>(
         pipes.insert(key.clone(), pipe);
     }
     let pipe = pipes.get_mut(&key).expect("pipeline just inserted");
-    let mut vals = Vec::with_capacity(raw.len() / T::BYTES);
-    for chunk in raw.chunks_exact(T::BYTES) {
-        vals.push(T::from_le_slice(chunk));
-    }
-    let data = NdArray::from_vec(Shape::new(&dims), vals);
+    let data = NdArray::from_le_bytes(Shape::new(&dims), &raw)
+        .expect("Request::decode checked the byte count against the shape");
     let out = match pipe.compress(&data) {
         Ok(o) => o,
         Err(e) => return error_from_api(&e),
@@ -944,14 +941,10 @@ fn decompress_as<T: Scalar>(scratch: &mut Scratch<T>, blob: &[u8], deadline: Ins
     if Instant::now() > deadline {
         return deadline_response();
     }
-    let mut raw = Vec::with_capacity(out.len() * T::BYTES);
-    for &v in out.as_slice() {
-        raw.extend_from_slice(&v.to_le_bytes_vec());
-    }
     Response::Decompressed {
         scalar_tag: T::TYPE_TAG,
         dims: out.shape().dims().to_vec(),
-        raw,
+        raw: out.to_le_bytes(),
     }
 }
 
@@ -977,15 +970,11 @@ fn region_as<T: Scalar>(
     if Instant::now() > deadline {
         return deadline_response();
     }
-    let mut raw = Vec::with_capacity(slab.len() * T::BYTES);
-    for &v in slab.as_slice() {
-        raw.extend_from_slice(&v.to_le_bytes_vec());
-    }
     Response::Region {
         scalar_tag: T::TYPE_TAG,
         dims: slab.shape().dims().to_vec(),
         faults,
-        raw,
+        raw: slab.to_le_bytes(),
     }
 }
 

@@ -12,7 +12,7 @@
 //!    from the persisted plan, byte-identical to the cold path.
 
 use qoz_codec::ErrorBound;
-use qoz_serve::protocol::{kind, read_frame, write_frame, FrameError, MAX_PAYLOAD};
+use qoz_serve::protocol::{kind, read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_PAYLOAD};
 use qoz_serve::{
     Client, ClientConfig, Endpoint, ErrorCode, Request, Response, Server, ServerConfig,
 };
@@ -238,7 +238,7 @@ fn corrupt_frames_earn_typed_errors_and_daemon_stays_up() {
     // (c) oversized declared length: rejected before allocation.
     let mut chan = ep.connect().unwrap();
     let mut head = Vec::new();
-    head.extend_from_slice(b"QZRP");
+    head.extend_from_slice(&FRAME_MAGIC);
     head.push(kind::DECOMPRESS);
     head.extend_from_slice(&u32::MAX.to_le_bytes());
     chan.write_all(&head).unwrap();
@@ -264,7 +264,7 @@ fn corrupt_frames_earn_typed_errors_and_daemon_stays_up() {
 
     // (e) mid-frame disconnect: no response owed; the daemon survives.
     let mut chan = ep.connect().unwrap();
-    chan.write_all(&[b'Q', b'Z', b'R', b'P', kind::PING])
+    chan.write_all(&[FRAME_MAGIC.as_slice(), &[kind::PING]].concat())
         .unwrap();
     drop(chan);
 

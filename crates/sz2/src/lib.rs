@@ -133,7 +133,7 @@ impl<T: Scalar> Compressor<T> for Sz2 {
                 let v = work.as_slice()[off];
                 let qz = quant.quantize(v, pred);
                 if qz.code == 0 {
-                    unpred.put_bytes(&v.to_le_bytes_vec());
+                    unpred.put_bytes(v.le_bytes().as_ref());
                 }
                 bins.push(qz.code);
                 work.as_mut_slice()[off] = qz.reconstructed;

@@ -124,7 +124,7 @@ pub fn compress_with_spec_into<T: Scalar>(
             // Anchors are stored losslessly and left untouched in `work`.
             let buf = &scratch.work[..];
             for_each_base_point(shape, a as usize, |off| {
-                anchors.put_bytes(&buf[off].to_le_bytes_vec());
+                anchors.put_bytes(buf[off].le_bytes().as_ref());
             });
         }
         None => {
@@ -137,7 +137,7 @@ pub fn compress_with_spec_into<T: Scalar>(
                 let v = buf[off];
                 let qz = q.quantize(v, 0.0);
                 if qz.code == 0 {
-                    unpred.put_bytes(&v.to_le_bytes_vec());
+                    unpred.put_bytes(v.le_bytes().as_ref());
                 }
                 bins[next_bin] = qz.code;
                 next_bin += 1;
@@ -163,7 +163,7 @@ pub fn compress_with_spec_into<T: Scalar>(
                 stats.pred_count += 1;
                 let qz = q.quantize(v, pred);
                 if qz.code == 0 {
-                    unpred.put_bytes(&v.to_le_bytes_vec());
+                    unpred.put_bytes(v.le_bytes().as_ref());
                 }
                 bins[next_bin] = qz.code;
                 next_bin += 1;

@@ -83,6 +83,27 @@ impl<T: Scalar> NdArray<T> {
         self.data
     }
 
+    /// The elements' raw little-endian bytes, `len() * T::BYTES` of
+    /// them in row-major order: the wire and file form of an array.
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.data.len() * T::BYTES];
+        for (dst, &v) in out.chunks_exact_mut(T::BYTES).zip(&self.data) {
+            dst.copy_from_slice(v.le_bytes().as_ref());
+        }
+        out
+    }
+
+    /// Rebuild an array of `shape` from raw little-endian bytes (inverse
+    /// of [`NdArray::to_le_bytes`], bit for bit). `None` unless `bytes`
+    /// holds exactly `shape.len()` elements.
+    pub fn from_le_bytes(shape: Shape, bytes: &[u8]) -> Option<Self> {
+        if shape.len().checked_mul(T::BYTES) != Some(bytes.len()) {
+            return None;
+        }
+        let data = bytes.chunks_exact(T::BYTES).map(T::from_le_slice).collect();
+        Some(NdArray { shape, data })
+    }
+
     /// Reshape in place to `shape`, resetting every element to zero and
     /// reusing the existing allocation when capacity allows — the
     /// destination-side half of a zero-allocation decode loop. Returns
@@ -365,6 +386,82 @@ mod tests {
         let mut b = a.clone();
         b.set(&[3], b.get(&[3]) + 0.25);
         assert_eq!(a.max_abs_diff(&b), 0.25);
+    }
+
+    /// Values whose bits a careless conversion loses: NaN payloads of
+    /// both signs, −0.0, the smallest and largest subnormals, ±MAX, ±∞.
+    fn awkward_f32() -> Vec<f32> {
+        vec![
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFFA0_BEEF),
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -12.625,
+        ]
+    }
+
+    fn awkward_f64() -> Vec<f64> {
+        vec![
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF4_0000_DEAD_BEEF),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            std::f64::consts::PI,
+        ]
+    }
+
+    #[test]
+    fn le_bytes_roundtrip_is_bit_exact() {
+        let vals = awkward_f32();
+        let a = NdArray::from_vec(Shape::d2(3, 4), vals.clone());
+        let bytes = a.to_le_bytes();
+        let oracle: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(bytes, oracle);
+        let back = NdArray::<f32>::from_le_bytes(a.shape(), &bytes).unwrap();
+        assert_eq!(back.shape(), a.shape());
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.as_slice()), bits(&vals));
+
+        let vals = awkward_f64();
+        let a = NdArray::from_vec(Shape::d3(2, 3, 2), vals.clone());
+        let bytes = a.to_le_bytes();
+        let oracle: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(bytes, oracle);
+        let back = NdArray::<f64>::from_le_bytes(a.shape(), &bytes).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.as_slice()), bits(&vals));
+    }
+
+    #[test]
+    fn from_le_bytes_refuses_a_count_that_disagrees_with_the_shape() {
+        let shape = Shape::d2(3, 4);
+        let bytes = NdArray::<f64>::zeros(shape).to_le_bytes();
+        assert!(NdArray::<f64>::from_le_bytes(shape, &bytes).is_some());
+        assert!(NdArray::<f32>::from_le_bytes(shape, &bytes[..48]).is_some());
+        // Empty input: no shape has zero elements.
+        assert!(NdArray::<f32>::from_le_bytes(Shape::d1(1), &[]).is_none());
+        for n in [0, 1, 47, 49, 95] {
+            let cut = &bytes[..n];
+            assert!(NdArray::<f32>::from_le_bytes(shape, cut).is_none(), "{n} B");
+            assert!(NdArray::<f64>::from_le_bytes(shape, cut).is_none(), "{n} B");
+        }
+        let long = [bytes.as_slice(), &[0]].concat();
+        assert!(NdArray::<f64>::from_le_bytes(shape, &long).is_none());
+        assert!(NdArray::<f64>::from_le_bytes(Shape::d2(4, 4), &bytes).is_none());
     }
 
     #[test]

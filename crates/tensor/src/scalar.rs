@@ -29,8 +29,10 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// `true` if the value is finite (not NaN/inf).
     fn is_finite(self) -> bool;
-    /// Raw little-endian bytes of the value.
-    fn to_le_bytes_vec(self) -> Vec<u8>;
+    /// The little-endian byte array of one value, `[u8; BYTES]`.
+    type LeBytes: AsRef<[u8]>;
+    /// Raw little-endian bytes of the value, without allocating.
+    fn le_bytes(self) -> Self::LeBytes;
     /// Rebuild a value from little-endian bytes; `bytes.len()` must be `BYTES`.
     fn from_le_slice(bytes: &[u8]) -> Self;
     /// Zero constant.
@@ -39,6 +41,7 @@ pub trait Scalar:
 
 impl Scalar for f32 {
     const BYTES: usize = 4;
+    type LeBytes = [u8; 4];
     const TYPE_TAG: u8 = 0x32;
 
     #[inline(always)]
@@ -57,9 +60,9 @@ impl Scalar for f32 {
     fn is_finite(self) -> bool {
         f32::is_finite(self)
     }
-    #[inline]
-    fn to_le_bytes_vec(self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
+    #[inline(always)]
+    fn le_bytes(self) -> [u8; 4] {
+        self.to_le_bytes()
     }
     #[inline]
     fn from_le_slice(bytes: &[u8]) -> Self {
@@ -75,6 +78,7 @@ impl Scalar for f32 {
 
 impl Scalar for f64 {
     const BYTES: usize = 8;
+    type LeBytes = [u8; 8];
     const TYPE_TAG: u8 = 0x64;
 
     #[inline(always)]
@@ -93,9 +97,9 @@ impl Scalar for f64 {
     fn is_finite(self) -> bool {
         f64::is_finite(self)
     }
-    #[inline]
-    fn to_le_bytes_vec(self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
+    #[inline(always)]
+    fn le_bytes(self) -> [u8; 8] {
+        self.to_le_bytes()
     }
     #[inline]
     fn from_le_slice(bytes: &[u8]) -> Self {
@@ -116,17 +120,17 @@ mod tests {
     #[test]
     fn f32_roundtrip_bytes() {
         let v: f32 = -12.625;
-        let bytes = v.to_le_bytes_vec();
+        let bytes = v.le_bytes();
         assert_eq!(bytes.len(), f32::BYTES);
-        assert_eq!(f32::from_le_slice(&bytes), v);
+        assert_eq!(f32::from_le_slice(&bytes).to_bits(), v.to_bits());
     }
 
     #[test]
     fn f64_roundtrip_bytes() {
         let v: f64 = std::f64::consts::PI;
-        let bytes = v.to_le_bytes_vec();
+        let bytes = v.le_bytes();
         assert_eq!(bytes.len(), f64::BYTES);
-        assert_eq!(f64::from_le_slice(&bytes), v);
+        assert_eq!(f64::from_le_slice(&bytes).to_bits(), v.to_bits());
     }
 
     #[test]

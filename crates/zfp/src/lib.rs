@@ -294,7 +294,7 @@ fn write_raw<T: Scalar>(data: &NdArray<T>, region: &Region, w: &mut ByteWriter) 
         for d in 0..nd {
             g[d] = region.origin()[d] + idx[d];
         }
-        w.put_bytes(&data.get(&g[..nd]).to_le_bytes_vec());
+        w.put_bytes(data.get(&g[..nd]).le_bytes().as_ref());
     }
 }
 

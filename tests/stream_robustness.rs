@@ -151,7 +151,7 @@ mod serve_wire {
     use super::*;
     use qoz_suite::serve::protocol::{self, kind, read_frame, write_frame};
     use qoz_suite::serve::{
-        Client, ClientConfig, Endpoint, ErrorCode, Response, Server, ServerConfig,
+        Channel, Client, ClientConfig, Endpoint, ErrorCode, Request, Response, Server, ServerConfig,
     };
     use std::io::Write;
     use std::time::Duration;
@@ -254,6 +254,80 @@ mod serve_wire {
         let mut client = Client::with_config(config);
         client.ping().expect("daemon survives the fuzz sweep");
         assert!(client.stats().unwrap().bad_frames >= 1);
+        server.shutdown().unwrap();
+    }
+
+    /// Read the reply to a damaged frame: a typed `BadFrame`, after which
+    /// the server has dropped the connection.
+    fn expect_bad_frame_and_hang_up(chan: &mut Box<dyn Channel>, what: &str) {
+        let (k, payload) = read_frame(chan, protocol::MAX_PAYLOAD)
+            .unwrap_or_else(|e| panic!("{what}: no reply: {e}"));
+        match Response::decode(k, &payload) {
+            Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame, "{what}"),
+            other => panic!("{what}: wanted BadFrame, got {other:?}"),
+        }
+        match read_frame(chan, protocol::MAX_PAYLOAD) {
+            Err(protocol::FrameError::Io(_)) => {}
+            other => panic!("{what}: connection still open: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn payload_bit_flips_and_old_format_frames_get_bad_frame() {
+        let server = Server::start(ServerConfig::new(unix_ep("payload"))).unwrap();
+        let ep = server.endpoint();
+
+        // A DECOMPRESS request carrying a real QoZ stream of a few KiB.
+        let blob = sample_blob(&qoz_suite::qoz::Qoz::default());
+        let request = Request::Decompress { budget_ms: 0, blob };
+        let payload = request.encode();
+        let n = payload.len();
+        assert!((2 << 10..64 << 10).contains(&n), "{n} B");
+        let mut sound = Vec::new();
+        write_frame(&mut sound, kind::DECOMPRESS, &payload).unwrap();
+
+        // Unmutated, the substrate is served.
+        let mut chan = ep.connect().unwrap();
+        chan.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        chan.write_all(&sound).unwrap();
+        let (k, reply) = read_frame(&mut chan, protocol::MAX_PAYLOAD).unwrap();
+        assert!(matches!(
+            Response::decode(k, &reply),
+            Ok(Response::Decompressed { .. })
+        ));
+
+        // One flipped payload bit: the checksum catches it.
+        for seed in 0..16u64 {
+            let mut s = seed;
+            let mut wire = sound.clone();
+            let pos = protocol::FRAME_HEADER_LEN + (mix(&mut s) as usize) % payload.len();
+            wire[pos] ^= 1 << (mix(&mut s) % 8);
+            let mut chan = ep.connect().unwrap();
+            chan.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            chan.write_all(&wire).unwrap();
+            expect_bad_frame_and_hang_up(&mut chan, &format!("seed {seed}, byte {pos}"));
+        }
+
+        // A well-formed frame of the first protocol version: "QZRP"
+        // magic and an FNV-1a-64 checksum.
+        let mut old = b"QZRP".to_vec();
+        old.push(kind::DECOMPRESS);
+        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        old.extend_from_slice(&payload);
+        old.extend_from_slice(&qoz_suite::archive::fnv1a(&payload).to_le_bytes());
+        let mut chan = ep.connect().unwrap();
+        chan.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        chan.write_all(&old).unwrap();
+        expect_bad_frame_and_hang_up(&mut chan, "old-format frame");
+
+        let mut config = ClientConfig::new(ep);
+        config.base_backoff = Duration::from_millis(1);
+        let mut client = Client::with_config(config);
+        client.ping().expect("daemon keeps serving");
+        assert!(client.stats().unwrap().bad_frames >= 17);
         server.shutdown().unwrap();
     }
 
