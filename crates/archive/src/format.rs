@@ -114,11 +114,6 @@ impl TemporalKind {
             TemporalKind::Delta { .. } => 2,
         }
     }
-
-    /// `true` for delta members — reads must resolve the chain.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, TemporalKind::Delta { .. })
-    }
 }
 
 /// Metadata for one archived variable.

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro <experiment> [--size tiny|small|medium] [--out DIR]
-//!       [--bench-json PATH]
 //!
 //! experiments:
 //!   table3   Compression ratio @ same error bound (Table III)
@@ -15,15 +14,13 @@
 //!   fig12    Component ablation study (Fig. 12)
 //!   fig13    Fixed (alpha,beta) vs auto-tuning (Fig. 13)
 //!   fig14    Parallel dump/load model (Fig. 14)
-//!   bench    Throughput baseline: timed compress/decompress for every
-//!            backend x dataset x bound, written as BENCH json
-//!   all      Everything above (except bench)
+//!   all      Everything above
 //! ```
 //!
 //! Each experiment prints a paper-shaped table and writes a CSV under
-//! `--out` (default `results/`). `bench` (or passing `--bench-json
-//! PATH` explicitly) writes the machine-readable throughput baseline
-//! that perf PRs are judged against.
+//! `--out` (default `results/`). The speeds in Table IV and Fig. 14 come
+//! from single timed runs; the seeded, paired throughput benchmark is
+//! `qozbench/`.
 
 use qoz_api::Session;
 use qoz_bench::{evaluate, paper_set, write_csv, write_pgm};
@@ -38,18 +35,16 @@ use qoz_tensor::{NdArray, Region};
 struct Opts {
     size: SizeClass,
     out: String,
-    bench_json: Option<String>,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro <table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|bench|all> [--size tiny|small|medium] [--out DIR] [--bench-json PATH]");
+        eprintln!("usage: repro <table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all> [--size tiny|small|medium] [--out DIR]");
         std::process::exit(2);
     }
     let mut size = SizeClass::Small;
     let mut out = "results".to_string();
-    let mut bench_json: Option<String> = None;
     let mut exp = String::new();
     let mut i = 0;
     while i < args.len() {
@@ -70,15 +65,9 @@ fn main() {
                 i += 1;
                 out = args.get(i).cloned().unwrap_or(out);
             }
-            "--bench-json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => bench_json = Some(p.clone()),
-                    None => {
-                        eprintln!("--bench-json needs a path");
-                        std::process::exit(2);
-                    }
-                }
+            e if e.starts_with("--") => {
+                eprintln!("unknown option {e}");
+                std::process::exit(2);
             }
             e if exp.is_empty() => exp = e.to_string(),
             e => {
@@ -88,15 +77,7 @@ fn main() {
         }
         i += 1;
     }
-    // `--bench-json PATH` with no experiment implies the bench mode.
-    if exp.is_empty() && bench_json.is_some() {
-        exp = "bench".to_string();
-    }
-    let opts = Opts {
-        size,
-        out,
-        bench_json,
-    };
+    let opts = Opts { size, out };
 
     match exp.as_str() {
         "table3" => table3(&opts),
@@ -109,7 +90,6 @@ fn main() {
         "fig12" => fig12(&opts),
         "fig13" => fig13(&opts),
         "fig14" => fig14(&opts),
-        "bench" => bench_throughput(&opts),
         "all" => {
             table3(&opts);
             table4(&opts);
@@ -127,704 +107,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // An explicit --bench-json always emits the baseline, even when it
-    // rides along with another experiment.
-    if opts.bench_json.is_some() && exp != "bench" {
-        bench_throughput(&opts);
-    }
-}
-
-/// `bench`: the measured-throughput baseline every perf PR is judged
-/// against. Times one compress/decompress cycle per backend x dataset x
-/// bound and writes a machine-readable `BENCH_throughput.json`
-/// (per-entry MB/s of raw data and compression ratio).
-fn bench_throughput(o: &Opts) {
-    let path = o
-        .bench_json
-        .clone()
-        .unwrap_or_else(|| format!("{}/BENCH_throughput.json", o.out));
-    println!("\n=== bench: compression throughput baseline ===");
-    println!(
-        "{:<12} {:<8} {:>6}  {:>8} {:>10} {:>12}",
-        "Dataset", "codec", "eps", "CR", "comp MB/s", "decomp MB/s"
-    );
-    let bounds = [1e-2, 1e-3];
-    let mut entries = Vec::new();
-    for ds in Dataset::ALL {
-        let data = ds.generate(o.size, 0);
-        for c in paper_set::<f32>(QualityMetric::Psnr) {
-            for eps in bounds {
-                let r = evaluate(&*c, &data, ErrorBound::Rel(eps));
-                println!(
-                    "{:<12} {:<8} {:>6.0e}  {:>8.1} {:>10.1} {:>12.1}",
-                    ds.name(),
-                    c.name(),
-                    eps,
-                    r.cr,
-                    r.comp_mbps,
-                    r.decomp_mbps
-                );
-                entries.push(format!(
-                    concat!(
-                        "    {{\"backend\": \"{}\", \"dataset\": \"{}\", ",
-                        "\"points\": {}, \"eps_rel\": {:e}, \"cr\": {:.4}, ",
-                        "\"comp_mbps\": {:.3}, \"decomp_mbps\": {:.3}}}"
-                    ),
-                    c.name(),
-                    ds.name(),
-                    data.len(),
-                    eps,
-                    r.cr,
-                    r.comp_mbps,
-                    r.decomp_mbps
-                ));
-            }
-        }
-    }
-    let random_access = bench_random_access(o);
-    let timeseries = bench_timeseries(o);
-    let decompress = bench_decompress(o);
-    let stage_breakdown = bench_stage_breakdown(o);
-    let json = format!(
-        concat!(
-            "{{\n  \"schema\": \"qoz-suite/bench-throughput/v9\",\n",
-            "  \"size_class\": \"{:?}\",\n",
-            "  \"cpu_features\": \"{}\",\n",
-            "  \"unit\": \"MB/s of raw f32 data\",\n",
-            "  \"entries\": [\n{}\n  ],\n",
-            "  \"random_access\": [\n{}\n  ],\n",
-            "  \"timeseries\": [\n{}\n  ],\n",
-            "  \"decompress\": [\n{}\n  ],\n",
-            "  \"stage_breakdown\": [\n{}\n  ]\n}}\n"
-        ),
-        o.size,
-        qoz_codec::simd::cpu_features(),
-        entries.join(",\n"),
-        random_access.join(",\n"),
-        timeseries.join(",\n"),
-        decompress.join(",\n"),
-        stage_breakdown.join(",\n")
-    );
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).unwrap();
-    }
-    std::fs::write(&path, json).unwrap();
-    println!("-> {path}");
-}
-
-/// The random-access axis of the `bench` baseline: archive one dataset
-/// per backend, query a ~1% region, and report how few bytes the
-/// indexed container actually reads versus decompressing everything.
-fn bench_random_access(o: &Opts) -> Vec<String> {
-    use qoz_archive::{ArchiveReader, ArchiveWriter};
-
-    println!("\n--- random access: ~1% region query vs full decompress (Miranda) ---");
-    println!(
-        "{:<8} {:>10} {:>12} {:>10} {:>10} {:>9}",
-        "codec", "arch bytes", "bytes read", "read %", "query ms", "speedup"
-    );
-    let data = Dataset::Miranda.generate(o.size, 0);
-    let shape = data.shape();
-    // A centered box of ~1/5 of each extent: (1/5)^3 ~ 0.8% of points.
-    let origin: Vec<usize> = shape.dims().iter().map(|&d| 2 * d / 5).collect();
-    let size: Vec<usize> = shape.dims().iter().map(|&d| (d / 5).max(1)).collect();
-    let region = Region::new(&origin, &size);
-    // Scale the chunk grid to the dataset so even the tiny smoke size
-    // has a multi-chunk grid for the region to select from.
-    let chunk_side = shape
-        .dims()
-        .iter()
-        .min()
-        .map_or(32, |&d| (d / 4).clamp(4, 32));
-
-    let mut rows = Vec::new();
-    for c in paper_set::<f32>(QualityMetric::Psnr) {
-        let mut w = ArchiveWriter::new().with_chunk_side(chunk_side);
-        w.add_variable("v", &data, &*c, ErrorBound::Rel(1e-3))
-            .unwrap();
-        let bytes = w.finish();
-
-        let r = ArchiveReader::from_bytes(&bytes).unwrap();
-        let t0 = std::time::Instant::now();
-        let slab = r.read_region::<f32>("v", &region).unwrap();
-        let t_region = t0.elapsed().as_secs_f64();
-        let read = r.bytes_read();
-
-        let rf = ArchiveReader::from_bytes(&bytes).unwrap();
-        let t0 = std::time::Instant::now();
-        let full = rf.read_full::<f32>("v").unwrap();
-        let t_full = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            slab.as_slice(),
-            full.extract_region(&region).as_slice(),
-            "{}: region query diverged from full decompress",
-            c.name()
-        );
-
-        let frac = read as f64 / bytes.len() as f64;
-        let speedup = t_full / t_region.max(1e-9);
-        println!(
-            "{:<8} {:>10} {:>12} {:>9.2}% {:>10.2} {:>8.1}x",
-            c.name(),
-            bytes.len(),
-            read,
-            frac * 100.0,
-            t_region * 1e3,
-            speedup
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"backend\": \"{}\", \"dataset\": \"{}\", \"points\": {}, ",
-                "\"eps_rel\": 1e-3, \"region_points\": {}, \"archive_bytes\": {}, ",
-                "\"region_bytes_read\": {}, \"read_fraction\": {:.5}, ",
-                "\"region_ms\": {:.3}, \"full_ms\": {:.3}, \"speedup\": {:.2}}}"
-            ),
-            c.name(),
-            Dataset::Miranda.name(),
-            data.len(),
-            region.len(),
-            bytes.len(),
-            read,
-            frac,
-            t_region * 1e3,
-            t_full * 1e3,
-            speedup
-        ));
-    }
-    rows
-}
-
-/// The time-series axis of the `bench` baseline: N consecutive snapshots
-/// of one evolving field, compressed cold (a fresh tune per snapshot,
-/// the pre-pipeline behaviour) versus warm (one `Session::pipeline`
-/// reusing the cached tuning plan and scratch arena). Reports MB/s for
-/// both, the steady-state warm rate (first/cold call excluded), and the
-/// plan-cache counters; verifies every warm stream against its error
-/// bound and checks warm-vs-cold byte equality on a repeated snapshot.
-///
-/// Schema v6 adds temporal rows on top: the same chains compressed
-/// independently versus delta-coded with `Pipeline::compress_next` at an
-/// equal bound. Asserts in-bench that the chain-decode max error stays
-/// within the bound on every snapshot and that temporal CR on the
-/// checkpoint-like series is at least 1.5x the independent CR.
-fn bench_timeseries(o: &Opts) -> Vec<String> {
-    use qoz_api::BackendId;
-
-    const SNAPSHOTS: usize = 6;
-    let base = Dataset::Miranda.shape(o.size);
-    let shape4 = qoz_tensor::Shape::new(&[SNAPSHOTS, base.dim(0), base.dim(1), base.dim(2)]);
-    let field = qoz_datagen::time_series_like(shape4, 0xC0FFEE);
-    let step = base.len();
-    let snapshots: Vec<NdArray<f32>> = (0..SNAPSHOTS)
-        .map(|t| NdArray::from_vec(base, field.as_slice()[t * step..(t + 1) * step].to_vec()))
-        .collect();
-    let eps = 1e-3;
-    let raw_mb = (step * 4 * SNAPSHOTS) as f64 / 1e6;
-
-    println!("\n--- time series: {SNAPSHOTS} snapshots, cold vs warm pipeline (Miranda-like) ---");
-    println!(
-        "{:<8} {:>10} {:>10} {:>12} {:>8} {:>6} {:>8}",
-        "codec", "cold MB/s", "warm MB/s", "steady MB/s", "speedup", "warm", "retunes"
-    );
-
-    let mut rows = Vec::new();
-    for id in [BackendId::Qoz, BackendId::Sz3] {
-        let session = Session::builder()
-            .backend(id)
-            .bound(ErrorBound::Rel(eps))
-            .build()
-            .expect("bound is valid");
-
-        // Cold: every snapshot pays full tuning + fresh allocations.
-        let t0 = std::time::Instant::now();
-        let cold_blobs: Vec<Vec<u8>> = snapshots
-            .iter()
-            .map(|s| session.compress(s).expect("cold compress").blob)
-            .collect();
-        let t_cold = t0.elapsed().as_secs_f64();
-
-        // Warm: one pipeline across the series.
-        let mut pipe = session.pipeline::<f32>();
-        let t0 = std::time::Instant::now();
-        let first = pipe.compress(&snapshots[0]).expect("warm compress").blob;
-        let t_first = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let mut warm_blobs = vec![first];
-        for s in &snapshots[1..] {
-            warm_blobs.push(pipe.compress(s).expect("warm compress").blob);
-        }
-        let t_steady = t0.elapsed().as_secs_f64();
-        let t_warm = t_first + t_steady;
-
-        // Warm streams must honor the per-snapshot bound, and repeating
-        // an unchanged snapshot must reproduce the cold bytes exactly.
-        for (s, blob) in snapshots.iter().zip(&warm_blobs) {
-            let recon: NdArray<f32> = session.decompress(blob).expect("warm blob decodes");
-            let abs = ErrorBound::Rel(eps).absolute(s);
-            assert!(
-                s.max_abs_diff(&recon) <= abs * (1.0 + 1e-9),
-                "{}: warm stream violated the bound",
-                id.name()
-            );
-        }
-        let mut repeat_pipe = session.pipeline::<f32>();
-        repeat_pipe.compress(&snapshots[0]).expect("repeat cold");
-        let repeat = repeat_pipe
-            .compress(&snapshots[0])
-            .expect("repeat warm")
-            .blob;
-        let bytes_equal = repeat == cold_blobs[0];
-        assert!(
-            bytes_equal,
-            "{}: warm repeat of an unchanged snapshot diverged from the cold stream",
-            id.name()
-        );
-
-        let stats = pipe.stats();
-        let cold_mbps = raw_mb / t_cold.max(1e-12);
-        let warm_mbps = raw_mb / t_warm.max(1e-12);
-        let steady_mbps =
-            (raw_mb * (SNAPSHOTS - 1) as f64 / SNAPSHOTS as f64) / t_steady.max(1e-12);
-        let speedup = t_cold / t_warm.max(1e-12);
-        println!(
-            "{:<8} {:>10.1} {:>10.1} {:>12.1} {:>7.2}x {:>6} {:>8}",
-            id.name(),
-            cold_mbps,
-            warm_mbps,
-            steady_mbps,
-            speedup,
-            stats.warm(),
-            stats.retunes
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"backend\": \"{}\", \"dataset\": \"Miranda-TS\", ",
-                "\"snapshots\": {}, \"points\": {}, \"eps_rel\": {:e}, ",
-                "\"cold_mbps\": {:.3}, \"warm_mbps\": {:.3}, ",
-                "\"warm_steady_mbps\": {:.3}, \"speedup\": {:.3}, ",
-                "\"warm_hits\": {}, \"warm_rescales\": {}, \"retunes\": {}, ",
-                "\"bytes_equal_on_repeat\": {}}}"
-            ),
-            id.name(),
-            SNAPSHOTS,
-            step,
-            eps,
-            cold_mbps,
-            warm_mbps,
-            steady_mbps,
-            speedup,
-            stats.warm_hits,
-            stats.warm_rescales,
-            stats.retunes,
-            bytes_equal
-        ));
-    }
-
-    // Temporal delta coding (schema v6): the same evolving fields coded
-    // independently versus residual-coded against each prior
-    // reconstruction at an equal bound. The checkpoint-like series must
-    // show at least a 1.5x CR gain; the advecting series is reported too
-    // so the win is measured on motion, not just amplitude decay.
-    const CHAIN: usize = 12;
-    println!("\n--- time series: independent vs temporal delta coding, eps {eps:.0e} ---");
-    println!(
-        "{:<14} {:>6} {:>8} {:>8} {:>6} {:>11} {:>10} {:>10} {:>5}",
-        "dataset",
-        "snaps",
-        "ind CR",
-        "temp CR",
-        "gain",
-        "key/dlt/fb",
-        "enc MB/s",
-        "dec MB/s",
-        "warm"
-    );
-    type SeriesGen = fn(qoz_tensor::Shape, u64) -> NdArray<f32>;
-    let series: [(&str, SeriesGen); 2] = [
-        ("TS-checkpoint", qoz_datagen::time_series_like),
-        ("TS-advect", qoz_datagen::time_series_advect),
-    ];
-    for (name, generate) in series {
-        let shape4 = qoz_tensor::Shape::new(&[CHAIN, base.dim(0), base.dim(1), base.dim(2)]);
-        let field = generate(shape4, 0xC0FFEE);
-        let chain: Vec<NdArray<f32>> = (0..CHAIN)
-            .map(|t| NdArray::from_vec(base, field.as_slice()[t * step..(t + 1) * step].to_vec()))
-            .collect();
-        let session = Session::builder()
-            .backend(BackendId::Qoz)
-            .bound(ErrorBound::Rel(eps))
-            .build()
-            .expect("bound is valid");
-
-        let mut ind_pipe = session.pipeline::<f32>();
-        let ind_bytes: usize = chain
-            .iter()
-            .map(|s| {
-                ind_pipe
-                    .compress(s)
-                    .expect("independent compress")
-                    .blob
-                    .len()
-            })
-            .sum();
-
-        // Chain encode (schema v9): the `compress_next` loop a simulation
-        // runs, plan cache and reconstruction handoff included.
-        let mut enc = session.pipeline::<f32>();
-        let t0 = std::time::Instant::now();
-        let blobs: Vec<Vec<u8>> = chain
-            .iter()
-            .map(|s| enc.compress_next(s).expect("temporal compress").1.blob)
-            .collect();
-        let t_encode = t0.elapsed().as_secs_f64();
-        let temporal_bytes: usize = blobs.iter().map(Vec::len).sum();
-        let stats = enc.stats();
-
-        // Error contract first: every snapshot of the decoded chain must
-        // honor the bound against its own raw input.
-        let mut check = session.pipeline::<f32>();
-        for (s, blob) in chain.iter().zip(&blobs) {
-            let recon = check.decompress_next(blob).expect("chain decode");
-            let abs = ErrorBound::Rel(eps).absolute(s);
-            // The f32 accumulate (prev reconstruction + residual) can
-            // round by a couple of ULPs on top of the coded bound.
-            let slack = abs * (1.0 + 1e-9) + 4.0 * f32::EPSILON as f64;
-            assert!(
-                s.max_abs_diff(recon) <= slack,
-                "{name}: chain decode violated the bound"
-            );
-        }
-        // Then a clean timing pass over the whole chain decode.
-        let mut dec = session.pipeline::<f32>();
-        let t0 = std::time::Instant::now();
-        for blob in &blobs {
-            dec.decompress_next(blob).expect("chain decode");
-        }
-        let t_chain = t0.elapsed().as_secs_f64();
-
-        let raw = (step * 4 * CHAIN) as f64;
-        let independent_cr = raw / ind_bytes as f64;
-        let temporal_cr = raw / temporal_bytes as f64;
-        let gain = temporal_cr / independent_cr;
-        let chain_mbps = raw / 1e6 / t_chain.max(1e-12);
-        let encode_mbps = raw / 1e6 / t_encode.max(1e-12);
-        println!(
-            "{:<14} {:>6} {:>8.2} {:>8.2} {:>5.2}x {:>5}/{}/{} {:>10.1} {:>10.1} {:>5}",
-            name,
-            CHAIN,
-            independent_cr,
-            temporal_cr,
-            gain,
-            stats.chain_keyframes,
-            stats.chain_deltas,
-            stats.chain_fallbacks,
-            encode_mbps,
-            chain_mbps,
-            stats.warm()
-        );
-        if name == "TS-checkpoint" {
-            assert!(
-                gain >= 1.5,
-                "{name}: temporal CR gain {gain:.3}x fell below the 1.5x floor \
-                 (independent {independent_cr:.2}, temporal {temporal_cr:.2})"
-            );
-        }
-        rows.push(format!(
-            concat!(
-                "    {{\"backend\": \"qoz\", \"dataset\": \"{}\", ",
-                "\"snapshots\": {}, \"points\": {}, \"eps_rel\": {:e}, ",
-                "\"independent_cr\": {:.4}, \"temporal_cr\": {:.4}, ",
-                "\"temporal_gain\": {:.4}, \"chain_encode_mbps\": {:.3}, ",
-                "\"chain_decode_mbps\": {:.3}, \"warm_plans\": {}, ",
-                "\"keyframes\": {}, \"deltas\": {}, \"fallbacks\": {}}}"
-            ),
-            name,
-            CHAIN,
-            step,
-            eps,
-            independent_cr,
-            temporal_cr,
-            gain,
-            encode_mbps,
-            chain_mbps,
-            stats.warm(),
-            stats.chain_keyframes,
-            stats.chain_deltas,
-            stats.chain_fallbacks
-        ));
-    }
-    rows
-}
-
-/// The decompress axis of the `bench` baseline: repeated decodes of one
-/// stream per backend, cold (a fresh allocating `Session::decompress`
-/// per pass) versus warm (one `Pipeline::decompress_into` reusing the
-/// scratch arena and the destination array). Asserts value identity
-/// between the two paths and that warm passes allocate no stage
-/// buffers, then reports both rates.
-fn bench_decompress(o: &Opts) -> Vec<String> {
-    use qoz_api::BackendId;
-
-    const PASSES: usize = 8;
-    let data = Dataset::Miranda.generate(o.size, 0);
-    let eps = 1e-3;
-    let raw_mb = (data.len() * 4) as f64 / 1e6;
-
-    println!("\n--- decompress: cold allocating vs warm scratch-arena decode (Miranda) ---");
-    println!(
-        "{:<8} {:>10} {:>10} {:>8} {:>10}",
-        "codec", "cold MB/s", "warm MB/s", "speedup", "warm grows"
-    );
-
-    let mut rows = Vec::new();
-    for id in [
-        BackendId::Qoz,
-        BackendId::Sz3,
-        BackendId::Sz2,
-        BackendId::Zfp,
-        BackendId::Mgard,
-    ] {
-        let session = Session::builder()
-            .backend(id)
-            .bound(ErrorBound::Rel(eps))
-            .build()
-            .expect("bound is valid");
-        let blob = session.compress(&data).expect("compress").blob;
-
-        // Cold: every pass allocates its output and stage buffers anew.
-        let t0 = std::time::Instant::now();
-        let mut cold_out: NdArray<f32> = session.decompress(&blob).expect("cold decode");
-        for _ in 1..PASSES {
-            cold_out = session.decompress(&blob).expect("cold decode");
-        }
-        let t_cold = t0.elapsed().as_secs_f64();
-
-        // Warm: one pipeline, one destination; the first pass grows the
-        // arena, the timed steady-state passes must not.
-        let mut pipe = session.pipeline::<f32>();
-        let mut warm_out = NdArray::<f32>::zeros(qoz_tensor::Shape::d1(1));
-        pipe.decompress_into(&blob, &mut warm_out)
-            .expect("warm decode");
-        let grows_before = pipe.stats().decode_grow_events;
-        let t0 = std::time::Instant::now();
-        for _ in 0..PASSES {
-            pipe.decompress_into(&blob, &mut warm_out)
-                .expect("warm decode");
-        }
-        let t_warm = t0.elapsed().as_secs_f64();
-        let warm_grows = pipe.stats().decode_grow_events - grows_before;
-        assert_eq!(
-            cold_out.as_slice(),
-            warm_out.as_slice(),
-            "{}: scratch decode diverged from allocating decode",
-            id.name()
-        );
-        assert_eq!(
-            warm_grows,
-            0,
-            "{}: warm decode passes allocated stage buffers",
-            id.name()
-        );
-
-        let cold_mbps = raw_mb * PASSES as f64 / t_cold.max(1e-12);
-        let warm_mbps = raw_mb * PASSES as f64 / t_warm.max(1e-12);
-        println!(
-            "{:<8} {:>10.1} {:>10.1} {:>7.2}x {:>10}",
-            id.name(),
-            cold_mbps,
-            warm_mbps,
-            warm_mbps / cold_mbps.max(1e-12),
-            warm_grows
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"backend\": \"{}\", \"dataset\": \"{}\", ",
-                "\"points\": {}, \"eps_rel\": {:e}, \"passes\": {}, ",
-                "\"decomp_cold_mbps\": {:.3}, \"decomp_warm_mbps\": {:.3}, ",
-                "\"warm_grow_events\": {}}}"
-            ),
-            id.name(),
-            Dataset::Miranda.name(),
-            data.len(),
-            eps,
-            PASSES,
-            cold_mbps,
-            warm_mbps,
-            warm_grows
-        ));
-    }
-    rows
-}
-
-/// The stage-breakdown axis (new in schema v5): where compression time
-/// goes, from the `qoz_telemetry` stage timers. Per backend, one cold
-/// compress on a fresh pipeline (pays tuning) and a warm steady-state
-/// loop are measured separately, each reporting per-stage millisecond
-/// sums next to the wall time; the steady phase asserts the
-/// instrumented stages account for the bulk of the wall. A final
-/// best-of-N comparison of the warm loop with spans enabled versus
-/// disabled bounds the telemetry overhead at 2% (plus a 2 ms floor so
-/// the smoke sizes aren't judged by timer jitter).
-fn bench_stage_breakdown(o: &Opts) -> Vec<String> {
-    use qoz_api::BackendId;
-
-    const SNAPSHOTS: usize = 6;
-    const TRIALS: usize = 3;
-    let base = Dataset::Miranda.shape(o.size);
-    let shape4 = qoz_tensor::Shape::new(&[SNAPSHOTS, base.dim(0), base.dim(1), base.dim(2)]);
-    let field = qoz_datagen::time_series_like(shape4, 0xC0FFEE);
-    let step = base.len();
-    let snapshots: Vec<NdArray<f32>> = (0..SNAPSHOTS)
-        .map(|t| NdArray::from_vec(base, field.as_slice()[t * step..(t + 1) * step].to_vec()))
-        .collect();
-    let eps = 1e-3;
-    let stages = qoz_telemetry::stages();
-
-    println!("\n--- stage breakdown: per-stage time via telemetry spans (Miranda-TS) ---");
-    println!(
-        "{:<8} {:<7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7}",
-        "codec", "phase", "tune ms", "predq ms", "enc ms", "entr ms", "wall ms", "covered", "ovh %"
-    );
-
-    // One warm steady-state loop: tune once off the clock, then time
-    // the remaining snapshots on the warmed pipeline.
-    let steady_secs = |session: &Session| -> f64 {
-        let mut pipe = session.pipeline::<f32>();
-        pipe.compress(&snapshots[0]).expect("warm-up compress");
-        let t0 = std::time::Instant::now();
-        for s in &snapshots[1..] {
-            pipe.compress(s).expect("steady compress");
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let stage_ms = |stages: &qoz_telemetry::Stages| -> [(String, f64, u64); 4] {
-        stages
-            .all()
-            .map(|t| (t.name().to_string(), t.sum_ns() as f64 / 1e6, t.count()))
-    };
-
-    let mut rows = Vec::new();
-    for id in [BackendId::Qoz, BackendId::Sz3] {
-        let session = Session::builder()
-            .backend(id)
-            .bound(ErrorBound::Rel(eps))
-            .build()
-            .expect("bound is valid");
-        qoz_telemetry::set_enabled(true);
-
-        // Cold phase: the first compress on a fresh pipeline, tuning
-        // included. Reported, not asserted — backends tune differently.
-        let mut pipe = session.pipeline::<f32>();
-        stages.reset();
-        let t0 = std::time::Instant::now();
-        pipe.compress(&snapshots[0]).expect("cold compress");
-        let cold_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let cold = stage_ms(stages);
-
-        // Steady phase: warm repeats of the now-tuned snapshot, the
-        // daemon's plan-cache-hit path. No tuning happens here (warm
-        // hits never re-plan, so nothing nests inside the tune span),
-        // and the remaining spans (predict+quantize, encode, entropy)
-        // cover the whole compress path except stream assembly — their
-        // sum has to land close to the measured wall time. The evolving
-        // series is deliberately NOT used for this assertion: a retune
-        // mid-series runs engine passes inside the tune span and the
-        // sums would double-count.
-        stages.reset();
-        let t0 = std::time::Instant::now();
-        for _ in 1..SNAPSHOTS {
-            pipe.compress(&snapshots[0]).expect("steady compress");
-        }
-        let steady_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let steady = stage_ms(stages);
-        assert_eq!(
-            steady[0].2,
-            0,
-            "{}: a warm repeat of an unchanged snapshot re-tuned",
-            id.name()
-        );
-        let steady_sum_ms: f64 = steady.iter().map(|(_, ms, _)| ms).sum();
-        let coverage = steady_sum_ms / steady_wall_ms.max(1e-9);
-        assert!(
-            coverage <= 1.02,
-            "{}: stage sums exceed wall time ({steady_sum_ms:.2}ms of {steady_wall_ms:.2}ms)",
-            id.name()
-        );
-        assert!(
-            coverage >= 0.75,
-            "{}: stage spans cover only {:.0}% of steady-state wall time — \
-             a compression stage lost its span",
-            id.name(),
-            coverage * 100.0
-        );
-
-        // Overhead: the same steady loop, best-of-N with spans enabled
-        // vs disabled. Enabled may cost at most 2% (plus a 2 ms jitter
-        // floor for the smoke sizes).
-        let mut best_on = f64::INFINITY;
-        let mut best_off = f64::INFINITY;
-        for _ in 0..TRIALS {
-            qoz_telemetry::set_enabled(true);
-            best_on = best_on.min(steady_secs(&session));
-            qoz_telemetry::set_enabled(false);
-            best_off = best_off.min(steady_secs(&session));
-        }
-        qoz_telemetry::set_enabled(true);
-        let overhead_pct = (best_on / best_off.max(1e-12) - 1.0) * 100.0;
-        assert!(
-            best_on <= best_off * 1.02 + 0.002,
-            "{}: telemetry spans cost {overhead_pct:.2}% on the warm steady-state loop \
-             (enabled {best_on:.4}s vs disabled {best_off:.4}s)",
-            id.name()
-        );
-
-        for (phase, wall_ms, by_stage) in [
-            ("cold", cold_wall_ms, &cold),
-            ("steady", steady_wall_ms, &steady),
-        ] {
-            println!(
-                "{:<8} {:<7} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>7.0}% {:>7.2}",
-                id.name(),
-                phase,
-                by_stage[0].1,
-                by_stage[1].1,
-                by_stage[2].1,
-                by_stage[3].1,
-                wall_ms,
-                by_stage.iter().map(|(_, ms, _)| ms).sum::<f64>() / wall_ms.max(1e-9) * 100.0,
-                overhead_pct
-            );
-        }
-        let stage_json = |by_stage: &[(String, f64, u64); 4]| -> String {
-            by_stage
-                .iter()
-                .map(|(name, ms, spans)| {
-                    format!("\"{name}_ms\": {ms:.3}, \"{name}_spans\": {spans}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"backend\": \"{}\", \"dataset\": \"Miranda-TS\", ",
-                "\"snapshots\": {}, \"points\": {}, \"eps_rel\": {:e}, ",
-                "\"cold\": {{\"wall_ms\": {:.3}, {}}}, ",
-                "\"steady\": {{\"wall_ms\": {:.3}, {}, \"stage_coverage\": {:.4}}}, ",
-                "\"telemetry_overhead_pct\": {:.3}}}"
-            ),
-            id.name(),
-            SNAPSHOTS,
-            step,
-            eps,
-            cold_wall_ms,
-            stage_json(&cold),
-            steady_wall_ms,
-            stage_json(&steady),
-            coverage,
-            overhead_pct
-        ));
-    }
-    rows
 }
 
 /// Table III: compression ratios under the same error bound; QoZ in

@@ -40,11 +40,6 @@ pub fn read_bytes(path: &str) -> Result<Vec<u8>, CliError> {
     std::fs::read(path).map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))
 }
 
-/// Write bytes to a file.
-pub fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), CliError> {
-    std::fs::write(path, bytes).map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,6 @@
 //! or corrupted inputs surface as [`CodecError`] values rather than panics.
 
 use crate::{CodecError, Result};
-use bytes::BufMut;
 
 /// Growable little-endian byte sink.
 ///
@@ -63,27 +62,27 @@ impl ByteWriter {
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an LEB128 varint.
@@ -92,16 +91,16 @@ impl ByteWriter {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
     /// Append raw bytes.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Append a varint length prefix followed by the bytes.
@@ -222,6 +221,27 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_f64().unwrap(), -2.5);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// The writer's byte layout, pinned without the reader: a round trip
+    /// alone would pass if both sides changed endianness together.
+    #[test]
+    fn writes_are_little_endian_bytes() {
+        let mut w = ByteWriter::new();
+        w.put_u8(0xAB);
+        w.put_u16(0x1234);
+        w.put_u32(0xDEAD_BEEF);
+        w.put_u64(0x0102_0304_0506_0708);
+        w.put_f64(-2.5);
+        w.put_varint(300);
+        w.put_bytes(&[7, 8, 9]);
+        let mut want = vec![0xAB, 0x34, 0x12, 0xEF, 0xBE, 0xAD, 0xDE];
+        want.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        // -2.5 is 0xC004_0000_0000_0000.
+        want.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0x04, 0xC0]);
+        // 300 as a varint, then the raw bytes.
+        want.extend_from_slice(&[0xAC, 0x02, 7, 8, 9]);
+        assert_eq!(w.finish(), want);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub fn selected() -> KernelPath {
 }
 
 /// Comma-separated list of the vector feature sets the running CPU
-/// advertises. Kept because `qozbench` and `repro bench` record it in
-/// their headers, so numbers from different machines can be told apart.
+/// advertises. Kept because `qozbench` records it in its run header, so
+/// numbers from different machines can be told apart.
 pub fn cpu_features() -> String {
     let mut feats: Vec<&str> = Vec::new();
     #[cfg(target_arch = "x86_64")]

@@ -28,17 +28,6 @@ pub enum QualityMetric {
 }
 
 impl QualityMetric {
-    /// `true` when larger metric values are better.
-    pub fn higher_is_better(self) -> bool {
-        match self {
-            QualityMetric::Psnr | QualityMetric::Ssim => true,
-            // For AC we score `-|ac|` so "higher is better" internally;
-            // CompressionRatio has a constant score.
-            QualityMetric::AutoCorrelation => true,
-            QualityMetric::CompressionRatio => true,
-        }
-    }
-
     /// Short display name used in benchmark tables.
     pub fn name(self) -> &'static str {
         match self {

@@ -397,21 +397,6 @@ impl Request {
         }
     }
 
-    /// Stable snake_case name, used as the `kind` label on the
-    /// per-request metric families (`qoz_requests_total`,
-    /// `qoz_request_latency_ns`, `qoz_request_payload_bytes`).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Compress { .. } => "compress",
-            Request::Decompress { .. } => "decompress",
-            Request::RegionRead { .. } => "region_read",
-            Request::Shutdown => "shutdown",
-            Request::Stats => "stats",
-            Request::ChaosPanic => "chaos_panic",
-        }
-    }
-
     /// Serialize the payload (the frame kind travels in the header).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();

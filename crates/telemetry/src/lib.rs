@@ -17,9 +17,7 @@
 //! * **Stage spans** — [`StageTimer`]/[`StageSpan`] time the fixed
 //!   compression stages (tune, predict+quantize, encode, entropy) with
 //!   two relaxed atomic adds per span. A runtime kill switch
-//!   ([`set_enabled`]) turns `start()` into a single relaxed load, and
-//!   the `off` cargo feature compiles the span body out entirely, so the
-//!   warm hot loop can be made to pay nothing.
+//!   ([`set_enabled`]) turns `start()` into a single relaxed load.
 //!
 //! A [`Snapshot`] is a point-in-time copy of a registry. It has a
 //! varint wire encoding (carried inside the daemon's extended `Stats`
@@ -309,22 +307,6 @@ pub fn enabled() -> bool {
     SPANS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Observer of completed spans, for routing timings somewhere else
-/// (a test collector, an external tracer). At most one per process;
-/// the built-in accumulation into [`StageTimer`] always happens.
-pub trait Subscriber: Send + Sync {
-    /// Called once per completed span with its stage name and duration.
-    fn on_span(&self, stage: &'static str, dur_ns: u64);
-}
-
-static SUBSCRIBER: OnceLock<Box<dyn Subscriber>> = OnceLock::new();
-
-/// Install the process-wide span subscriber. First caller wins; returns
-/// whether this call installed it.
-pub fn set_subscriber(sub: Box<dyn Subscriber>) -> bool {
-    SUBSCRIBER.set(sub).is_ok()
-}
-
 /// Accumulated wall time and call count for one named pipeline stage.
 #[derive(Debug)]
 pub struct StageTimer {
@@ -349,24 +331,14 @@ impl StageTimer {
     }
 
     /// Begin a span; the elapsed time records when the guard drops.
-    /// With the `off` feature this compiles to nothing.
     #[inline]
     pub fn start(&self) -> StageSpan<'_> {
-        #[cfg(feature = "off")]
-        {
-            StageSpan {
-                _marker: std::marker::PhantomData,
-            }
-        }
-        #[cfg(not(feature = "off"))]
-        {
-            StageSpan {
-                live: if enabled() {
-                    Some((self, Instant::now()))
-                } else {
-                    None
-                },
-            }
+        StageSpan {
+            live: if enabled() {
+                Some((self, Instant::now()))
+            } else {
+                None
+            },
         }
     }
 
@@ -374,9 +346,6 @@ impl StageTimer {
     pub fn record_ns(&self, ns: u64) {
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        if let Some(sub) = SUBSCRIBER.get() {
-            sub.on_span(self.name, ns);
-        }
     }
 
     /// Total nanoseconds accumulated.
@@ -389,7 +358,7 @@ impl StageTimer {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Zero the accumulator (bench harnesses measuring deltas).
+    /// Zero the accumulator (callers measuring deltas).
     pub fn reset(&self) {
         self.sum_ns.store(0, Ordering::Relaxed);
         self.count.store(0, Ordering::Relaxed);
@@ -399,16 +368,12 @@ impl StageTimer {
 /// Drop guard returned by [`StageTimer::start`].
 #[must_use = "a span records when dropped; binding to _ drops immediately"]
 pub struct StageSpan<'a> {
-    #[cfg(feature = "off")]
-    _marker: std::marker::PhantomData<&'a ()>,
-    #[cfg(not(feature = "off"))]
     live: Option<(&'a StageTimer, Instant)>,
 }
 
 impl Drop for StageSpan<'_> {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(not(feature = "off"))]
         if let Some((timer, start)) = self.live.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             timer.record_ns(ns);
@@ -1079,11 +1044,8 @@ mod tests {
         {
             let _span = t.start();
         }
-        #[cfg(not(feature = "off"))]
-        {
-            assert_eq!(t.count(), 2);
-            assert!(t.sum_ns() >= 100);
-        }
+        assert_eq!(t.count(), 2);
+        assert!(t.sum_ns() >= 100);
         t.reset();
         assert_eq!(t.count(), 0);
         assert_eq!(t.sum_ns(), 0);

@@ -129,11 +129,12 @@ fn corrupt_stream_does_not_poison_the_arena() {
 /// The acceptance criterion of the read-path refactor: with the arena
 /// and the destination already grown, a repeated same-shape
 /// `Pipeline::decompress_into` performs **zero** stage-buffer
-/// allocations, observed through the arena's growth counters.
+/// allocations on every backend, observed through the arena's growth
+/// counters.
 #[test]
 fn warm_pipeline_decode_allocates_nothing() {
     let data = field_f32();
-    for backend in [BackendId::Qoz, BackendId::Sz3] {
+    for backend in ALL_BACKENDS {
         let session = Session::builder()
             .backend(backend)
             .bound(ErrorBound::Rel(1e-3))
@@ -143,11 +144,15 @@ fn warm_pipeline_decode_allocates_nothing() {
         let mut pipe = session.pipeline::<f32>();
         let mut dest = NdArray::<f32>::zeros(Shape::d1(1));
         // Cold decode: buffers grow (that's what the counter counts).
+        // SZ2 and ZFP stage nothing in the arena, so only the other
+        // three have growth to show.
         pipe.decompress_into(&blob, &mut dest).unwrap();
-        assert!(
-            pipe.stats().decode_grow_events > 0,
-            "{backend:?}: cold decode must have grown stage buffers"
-        );
+        if matches!(backend, BackendId::Qoz | BackendId::Sz3 | BackendId::Mgard) {
+            assert!(
+                pipe.stats().decode_grow_events > 0,
+                "{backend:?}: cold decode must have grown stage buffers"
+            );
+        }
         // Warm decodes: same stream, same destination — zero growth.
         for pass in 0..3 {
             let before = pipe.stats().decode_grow_events;

@@ -144,39 +144,46 @@ fn regime_change_falls_back_to_keyframe_and_chain_still_holds() {
     }
 }
 
+/// Temporal coding beats independent coding of the same snapshots at an
+/// equal bound. The advecting series moves structure through the volume
+/// without decaying it, so its win is from motion coherence alone. The
+/// checkpoint-like series (12 snapshots of the tiny Miranda shape) must
+/// come out at least 1.5x smaller.
 #[test]
 fn advecting_series_delta_codes_and_beats_independent() {
-    // The advecting workload moves structure through the volume without
-    // decaying it; the temporal win here is from motion coherence.
-    let base = Shape::d3(16, 24, 24);
-    let shape4 = Shape::new(&[8, 16, 24, 24]);
-    let field = datagen::time_series_advect(shape4, 7);
-    let step = base.len();
-    let snaps: Vec<NdArray<f32>> = (0..8)
-        .map(|t| NdArray::from_vec(base, field.as_slice()[t * step..(t + 1) * step].to_vec()))
-        .collect();
+    let advect = datagen::time_series_advect(Shape::new(&[8, 16, 24, 24]), 7);
+    let checkpoint = datagen::time_series_like(Shape::new(&[12, 24, 32, 32]), 0xC0FFEE);
     let session = Session::builder()
         .bound(ErrorBound::Rel(EPS))
         .build()
         .unwrap();
+    // (name, series, minimum CR gain over independent coding)
+    for (name, field, min_gain) in [("advect", advect, 1.0), ("checkpoint", checkpoint, 1.5)] {
+        let snaps = snapshots(&field);
 
-    let mut ind = session.pipeline::<f32>();
-    let ind_bytes: usize = snaps
-        .iter()
-        .map(|s| ind.compress(s).unwrap().blob.len())
-        .sum();
+        let mut ind = session.pipeline::<f32>();
+        let ind_bytes: usize = snaps
+            .iter()
+            .map(|s| ind.compress(s).unwrap().blob.len())
+            .sum();
 
-    let mut enc = session.pipeline::<f32>();
-    let chain_bytes: usize = snaps
-        .iter()
-        .map(|s| enc.compress_next(s).unwrap().1.blob.len())
-        .sum();
-    assert!(enc.stats().chain_deltas >= 4, "motion should delta-code");
-    assert!(
-        chain_bytes < ind_bytes,
-        "temporal coding should beat independent on an advecting series \
-         ({chain_bytes} vs {ind_bytes} bytes)"
-    );
+        let mut enc = session.pipeline::<f32>();
+        let chain_bytes: usize = snaps
+            .iter()
+            .map(|s| enc.compress_next(s).unwrap().1.blob.len())
+            .sum();
+        assert!(
+            enc.stats().chain_deltas >= 4,
+            "{name}: the series should delta-code, got {:?}",
+            enc.stats()
+        );
+        let gain = ind_bytes as f64 / chain_bytes as f64;
+        assert!(
+            chain_bytes < ind_bytes && gain >= min_gain,
+            "{name}: temporal coding should beat independent by {min_gain}x, \
+             got {gain:.3}x ({chain_bytes} vs {ind_bytes} bytes)"
+        );
+    }
 }
 
 /// The snapshots of a 4-D `[t, x, y, z]` field, each as a 3-D array.
