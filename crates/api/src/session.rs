@@ -260,7 +260,7 @@ impl Session {
         if self.backend == BackendId::Qoz {
             // QoZ's sampling machinery estimates the quality-vs-bound
             // curve on sampled blocks before the full verified pass.
-            let r = self.registry.qoz().compress_to_quality(data, target)?;
+            let r = self.registry.qoz().compress_to_quality(data, target);
             Ok((r.blob, r.rel_bound, r.achieved))
         } else {
             let out = compress_codec_to_quality(&*self.codec::<T>(), data, target)?;

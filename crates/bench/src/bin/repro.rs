@@ -37,11 +37,13 @@ struct Opts {
     out: String,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: repro <table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all> [--size tiny|small|medium] [--out DIR]";
+
+/// The experiment named in `args` and its options, or the message to
+/// exit 2 with.
+fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     if args.is_empty() {
-        eprintln!("usage: repro <table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all> [--size tiny|small|medium] [--out DIR]");
-        std::process::exit(2);
+        return Err(USAGE.to_string());
     }
     let mut size = SizeClass::Small;
     let mut out = "results".to_string();
@@ -55,30 +57,31 @@ fn main() {
                     Some("tiny") => SizeClass::Tiny,
                     Some("small") => SizeClass::Small,
                     Some("medium") => SizeClass::Medium,
-                    other => {
-                        eprintln!("bad --size {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => return Err(format!("bad --size {other:?}")),
                 };
             }
             "--out" => {
                 i += 1;
-                out = args.get(i).cloned().unwrap_or(out);
+                out = args
+                    .get(i)
+                    .cloned()
+                    .ok_or_else(|| format!("--out needs a directory\n{USAGE}"))?;
             }
-            e if e.starts_with("--") => {
-                eprintln!("unknown option {e}");
-                std::process::exit(2);
-            }
+            e if e.starts_with("--") => return Err(format!("unknown option {e}")),
             e if exp.is_empty() => exp = e.to_string(),
-            e => {
-                eprintln!("unexpected argument {e}");
-                std::process::exit(2);
-            }
+            e => return Err(format!("unexpected argument {e}")),
         }
         i += 1;
     }
-    let opts = Opts { size, out };
+    Ok((exp, Opts { size, out }))
+}
 
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (exp, opts) = parse_args(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     match exp.as_str() {
         "table3" => table3(&opts),
         "table4" => table4(&opts),
@@ -547,4 +550,28 @@ fn fig14(o: &Opts) {
     let path = format!("{}/fig14_pario.csv", o.out);
     write_csv(&path, "codec,ranks,cr,dump_s,load_s", &rows).unwrap();
     println!("-> {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, Opts), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn out_without_a_directory_is_a_usage_error() {
+        let err = parse(&["table3", "--out"])
+            .err()
+            .expect("--out needs a value");
+        assert!(err.contains("--out needs a directory"), "{err}");
+        assert!(err.contains(USAGE), "{err}");
+        let (exp, opts) = parse(&["table3", "--size", "tiny", "--out", "dir"]).unwrap();
+        assert_eq!((exp.as_str(), opts.out.as_str()), ("table3", "dir"));
+        assert!(matches!(opts.size, SizeClass::Tiny));
+        assert_eq!(parse(&["fig8"]).unwrap().1.out, "results");
+        assert!(parse(&["table3", "--size"]).is_err());
+        assert_eq!(parse(&[]).err().as_deref(), Some(USAGE));
+    }
 }

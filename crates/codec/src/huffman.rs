@@ -5,9 +5,10 @@
 //! two-queue construction, then codes are assigned canonically
 //! (shorter-first, then by symbol value) so only the `(symbol, length)`
 //! table needs to be serialized. Decoding keeps the next payload bits
-//! in a 64-bit buffer and resolves codes of up to 11 bits with one
-//! probe of a 2^11-entry prefix table; longer codes walk the canonical
-//! first-code/offset tables, O(length) per symbol.
+//! in a 64-bit buffer and probes a 2^11-entry table with the next 11 of
+//! them; each entry holds every code (up to four) that fits whole in
+//! those bits, so one probe writes several symbols. Longer codes walk
+//! the canonical first-code/offset tables, O(length) per symbol.
 //!
 //! Degenerate inputs (empty stream, single distinct symbol) are handled
 //! explicitly; over-long codes (> [`MAX_CODE_LEN`]) are prevented by
@@ -294,9 +295,9 @@ pub struct HuffmanEncoder {
 /// thousand entries for quantizer bins, which cluster around the
 /// radius), with symbol 0 counted and coded beside it. The decode
 /// side ([`HuffmanDecoder::decode_with`]) recycles the serialized-table
-/// staging, the canonical symbol list and the 2^11-entry primary lookup
-/// table. Recycling never changes bytes or decoded values; the
-/// golden-bitstream tests pin this.
+/// staging, the canonical symbol list and the 2^11-entry lookup table,
+/// whose entries each hold up to four decoded symbols. Recycling never
+/// changes bytes or decoded values; the golden-bitstream tests pin this.
 #[derive(Debug, Default)]
 pub struct HuffmanScratch {
     counts: Vec<u64>,
@@ -308,8 +309,9 @@ pub struct HuffmanScratch {
     coded: Vec<(u32, u32, u64)>,
     /// Decoder canonical symbol list, recycled across streams.
     symbols: Vec<u32>,
-    /// Decoder primary lookup table (2^11 entries), recycled.
-    primary: Vec<u64>,
+    /// Decoder lookup table (2^11 entries of up to four symbols each),
+    /// recycled.
+    table: LookupTable,
     grows: GrowCounter,
 }
 
@@ -505,18 +507,89 @@ impl WordPacker {
     }
 }
 
-/// Width of the decoder's primary lookup table: codes no longer than
-/// this resolve in a single probe. 11 bits covers the vast majority of
-/// real quantizer-bin distributions while keeping the table at 2^11
-/// entries (16 KiB), cheap to build per stream.
-const PRIMARY_BITS: u32 = 11;
+/// Width of the decoder's lookup table: each probe peeks this many
+/// bits. 11 bits holds the codes of nearly every real quantizer bin
+/// while keeping the table at 2^11 entries (36 KiB), cheap to build per
+/// stream.
+const TABLE_BITS: u32 = 11;
+
+/// Most codes one table entry resolves, so that a row of its symbols
+/// is 16 bytes.
+const ENTRY_SYMS: usize = 4;
+
+/// Probes between two refills of the bit buffer: a refill leaves at
+/// least 56 bits, and 5 probes take at most 5 × `TABLE_BITS` = 55.
+const BLOCK: usize = 5;
+
+/// The decoder's lookup table, indexed by the next `TABLE_BITS` bits of
+/// the stream. Entry `i` resolves the codes that fit whole in those
+/// bits, read greedily from the first bit, up to `ENTRY_SYMS` of them.
+/// Its total length and count are `meta[i]` and its symbols `syms[i]`:
+/// the length decides where the next probe reads, so it sits in an
+/// array of its own that the index addresses in one step, while the
+/// symbol row is copied out beside that chain of loads.
+#[derive(Debug, Default)]
+struct LookupTable {
+    /// Per entry: the total length in bits of its codes (low byte) and
+    /// their count (high byte). 0 marks bits that start with a code
+    /// longer than `TABLE_BITS`, or with no code at all.
+    meta: Vec<u16>,
+    /// Per entry: the decoded symbols in stream order; only the first
+    /// `count` are meaningful.
+    syms: Vec<[u32; ENTRY_SYMS]>,
+}
+
+impl LookupTable {
+    /// Rebuild the table for canonical `(symbol, length, code)` triples,
+    /// in the allocations it already has.
+    fn build(&mut self, coded: &[(u32, u32, u64)]) {
+        // `fill` writes every entry's length and count and the symbols
+        // they make meaningful, so a recycled table needs no reset.
+        self.meta.resize(1 << TABLE_BITS, 0);
+        self.syms.resize(1 << TABLE_BITS, [0; ENTRY_SYMS]);
+        let short = &coded[..coded.partition_point(|c| c.1 <= TABLE_BITS)];
+        self.fill(short, 0, TABLE_BITS, 0, 0);
+    }
+
+    /// Fill entries `at..at + 2^rem`: those whose bits begin with
+    /// `count` codes of `len` bits in all, already written to their
+    /// symbol rows, and have `rem` bits after them. Each short code
+    /// (`short` is in canonical order) that fits in `rem` bits becomes
+    /// symbol `count` of its own sub-range, which is then filled the same
+    /// way; the entries after those, where the next code does not fit,
+    /// resolve the `count` codes alone. Canonical codes of at most `rem`
+    /// bits tile a prefix of the range in order, so every entry gets its
+    /// length and count exactly once.
+    fn fill(&mut self, short: &[(u32, u32, u64)], at: usize, rem: u32, len: u32, count: usize) {
+        let mut end = at;
+        if count < ENTRY_SYMS {
+            for &(sym, l, code) in short.iter().take_while(|c| c.1 <= rem) {
+                // Codes past their length's range come only from a table
+                // that slipped past the float Kraft check; the canonical
+                // walk resolves them, bounds-checking every step.
+                if code >> l != 0 {
+                    break;
+                }
+                let start = at + ((code as usize) << (rem - l));
+                debug_assert_eq!(start, end, "canonical codes tile the range");
+                end = start + (1 << (rem - l));
+                for row in &mut self.syms[start..end] {
+                    row[count] = sym;
+                }
+                self.fill(short, start, rem - l, len + l, count + 1);
+            }
+        }
+        self.meta[end..at + (1 << rem)].fill(len as u16 | (count as u16) << 8);
+    }
+}
 
 /// Decoder over a serialized canonical Huffman stream.
 ///
-/// Short codes (≤ `PRIMARY_BITS`) decode with one probe of a dense
-/// prefix table fed by a 64-bit bit buffer; longer codes fall back to
-/// the canonical per-length first-code/offset walk (`O(length)` per
-/// symbol).
+/// Each probe of a 2^11-entry lookup table, fed by a 64-bit bit buffer,
+/// writes every code (up to four) that fits whole in the next 11 bits.
+/// Codes longer than that, the last symbols of a stream and damaged
+/// payloads go through the canonical per-length first-code/offset walk
+/// (`O(length)` per symbol).
 #[derive(Debug)]
 pub struct HuffmanDecoder {
     /// Symbols sorted by (length, symbol) — canonical order.
@@ -527,9 +600,8 @@ pub struct HuffmanDecoder {
     count: [u32; MAX_CODE_LEN as usize + 1],
     /// Index into `symbols` of the first code of each length.
     offset: [u32; MAX_CODE_LEN as usize + 1],
-    /// Primary table indexed by the next `PRIMARY_BITS` bits of the
-    /// stream; entry = `symbol << 8 | code_length`, 0 = fall back.
-    primary: Vec<u64>,
+    /// Several codes per probe.
+    table: LookupTable,
 }
 
 impl HuffmanDecoder {
@@ -539,17 +611,16 @@ impl HuffmanDecoder {
     #[cfg(test)]
     fn from_entries(entries: Vec<(u32, u32)>) -> Result<Self> {
         let coded = canonical_codes(entries);
-        Self::from_coded(&coded, Vec::new(), Vec::new())
+        Self::from_coded(&coded, Vec::new(), LookupTable::default())
     }
 
     /// Build the decoder tables from canonical `(symbol, length, code)`
-    /// triples, filling the recycled `symbols_buf`/`primary_buf` buffers
-    /// (cleared and re-initialized; contents end up identical to a fresh
-    /// allocation).
+    /// triples, filling the recycled `symbols_buf` and `table` (contents
+    /// end up identical to a fresh allocation).
     fn from_coded(
         coded: &[(u32, u32, u64)],
         symbols_buf: Vec<u32>,
-        primary_buf: Vec<u64>,
+        mut table: LookupTable,
     ) -> Result<Self> {
         // Sanity-check the Kraft inequality so corrupt tables are rejected.
         let kraft: f64 = coded.iter().map(|&(_, l, _)| 2f64.powi(-(l as i32))).sum();
@@ -562,9 +633,6 @@ impl HuffmanDecoder {
         let mut first_code = [0u64; MAX_CODE_LEN as usize + 1];
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
         let mut offset = [0u32; MAX_CODE_LEN as usize + 1];
-        let mut primary = primary_buf;
-        primary.clear();
-        primary.resize(1 << PRIMARY_BITS, 0u64);
         for (i, &(sym, len, code)) in coded.iter().enumerate() {
             let l = len as usize;
             if count[l] == 0 {
@@ -573,25 +641,14 @@ impl HuffmanDecoder {
             }
             count[l] += 1;
             symbols.push(sym);
-            // Every PRIMARY_BITS-wide bit pattern starting with this code
-            // maps to it (prefix-freeness keeps the ranges disjoint). The
-            // `code >> len` guard skips near-corrupt tables that slipped
-            // past the float Kraft check; they resolve via the fallback,
-            // which bounds-checks every step.
-            if len <= PRIMARY_BITS && (code >> len) == 0 {
-                let fill = PRIMARY_BITS - len;
-                let lo = (code << fill) as usize;
-                for slot in &mut primary[lo..lo + (1usize << fill)] {
-                    *slot = (sym as u64) << 8 | len as u64;
-                }
-            }
         }
+        table.build(coded);
         Ok(HuffmanDecoder {
             symbols,
             first_code,
             count,
             offset,
-            primary,
+            table,
         })
     }
 
@@ -604,9 +661,10 @@ impl HuffmanDecoder {
 
     /// [`HuffmanDecoder::decode`] with caller-provided working memory:
     /// the serialized table, the canonical decoder tables (including the
-    /// 2^11-entry primary lookup) and the output staging all live in
-    /// recycled buffers. `out` is cleared and filled with exactly the
-    /// symbols the allocating path returns.
+    /// 2^11-entry lookup table, each entry up to four decoded symbols)
+    /// and the output staging all live in recycled buffers. `out` is
+    /// cleared and filled with exactly the symbols the allocating path
+    /// returns.
     pub fn decode_with(
         reader: &mut ByteReader,
         scratch: &mut HuffmanScratch,
@@ -640,93 +698,108 @@ impl HuffmanDecoder {
         scratch.grows.check(scratch.symbols.capacity(), n_entries);
         scratch
             .grows
-            .check(scratch.primary.capacity(), 1 << PRIMARY_BITS);
+            .check(scratch.table.meta.capacity(), 1 << TABLE_BITS);
         let mut coded = std::mem::take(&mut scratch.coded);
         canonical_codes_into(&mut scratch.entries, &mut coded);
         let decoder = Self::from_coded(
             &coded,
             std::mem::take(&mut scratch.symbols),
-            std::mem::take(&mut scratch.primary),
+            std::mem::take(&mut scratch.table),
         );
         scratch.coded = coded;
         let decoder = decoder?;
         scratch.grows.check(out.capacity(), n_symbols);
         out.clear();
-        out.reserve(n_symbols);
-        let res = decoder.decode_payload(payload, n_symbols, out);
+        out.resize(n_symbols, 0);
+        let mut done = 0;
+        let res = decoder.decode_payload(payload, out, &mut done);
+        out.truncate(done);
         // Hand the decoder tables back even when the payload was corrupt,
         // so repeated failing decodes don't degrade the arena.
-        let HuffmanDecoder {
-            symbols, primary, ..
-        } = decoder;
+        let HuffmanDecoder { symbols, table, .. } = decoder;
         scratch.symbols = symbols;
-        scratch.primary = primary;
+        scratch.table = table;
         res
     }
 
-    /// Decode `n` symbols of `payload` into `out`.
+    /// Decode `out.len()` symbols of `payload` into `out`; `done` ends
+    /// at the number decoded, which on an error is the failing symbol's
+    /// index.
     ///
-    /// The next 32–64 payload bits sit MSB-first in a `u64`, refilled
-    /// from 8-byte big-endian loads while at least 8 payload bytes are
-    /// left to load, so a primary-table hit costs one probe and a shift.
-    /// A table miss (a code longer than `PRIMARY_BITS`, or an invalid
-    /// prefix) and every symbol in the last < 8 bytes go through
-    /// [`HuffmanDecoder::decode_one_slow`] from the same cursor, so
-    /// corrupt and truncated payloads fail exactly as that walk does.
-    fn decode_payload(&self, payload: &[u8], n: usize, out: &mut Vec<u32>) -> Result<()> {
+    /// The next payload bits sit MSB-first in a `u64`. A run decodes
+    /// blocks of `BLOCK` probes; each probe copies a whole symbol row to
+    /// `out` and advances the output cursor by the entry's count, so a
+    /// block needs room for `BLOCK * ENTRY_SYMS` symbols. After each
+    /// block, an 8-byte big-endian word loaded during it tops the buffer
+    /// up to 56–63 bits without a branch. A table miss (a code longer
+    /// than `TABLE_BITS`, or an invalid prefix) and the last symbols,
+    /// once that room or 16 unread payload bytes are no longer left, go
+    /// through [`HuffmanDecoder::decode_one_slow`] from the same cursor,
+    /// so corrupt and truncated payloads fail exactly as that walk does.
+    fn decode_payload(&self, payload: &[u8], out: &mut [u32], done: &mut usize) -> Result<()> {
+        let meta: &[u16; 1 << TABLE_BITS] = self.table.meta[..]
+            .try_into()
+            .expect("the lookup table has 2^TABLE_BITS entries");
+        let syms: &[[u32; ENTRY_SYMS]; 1 << TABLE_BITS] = self.table.syms[..]
+            .try_into()
+            .expect("the lookup table has 2^TABLE_BITS entries");
         let load = |at: usize| {
             u64::from_be_bytes(payload[at..at + 8].try_into().expect("an 8-byte slice"))
         };
+        let n = out.len();
         // Bit cursor: where the next symbol starts.
         let mut pos = 0usize;
-        while out.len() < n && payload.len() - (pos >> 3) >= 8 {
-            // The top `avail` bits of `buf` are payload bits
-            // `[next * 8 - avail, next * 8)`. The bits below them are the
-            // ones that follow (or zero), so a refill ORs equal bits.
-            let skip = (pos & 7) as u32;
-            let mut buf = load(pos >> 3) << skip;
-            let mut next = (pos >> 3) + 8;
-            let mut avail = 64 - skip;
-            let mut miss = false;
-            while out.len() < n {
-                if avail < 32 {
+        let mut i = 0usize;
+        while i < n {
+            if n - i >= BLOCK * ENTRY_SYMS && payload.len() - (pos >> 3) >= 16 {
+                // The top `avail` bits of `buf` are payload bits
+                // `[next * 8 - avail, next * 8)`. The bits below them are
+                // the ones that follow (or zero), so a refill ORs equal
+                // bits. `word` holds the 8 bytes at `next`.
+                let skip = (pos & 7) as u32;
+                let mut buf = load(pos >> 3) << skip;
+                let mut next = (pos >> 3) + 8;
+                let mut avail = 64 - skip;
+                let mut word = load(next);
+                'run: while n - i >= BLOCK * ENTRY_SYMS {
+                    for _ in 0..BLOCK {
+                        let idx = (buf >> (64 - TABLE_BITS)) as usize;
+                        let len = u32::from(meta[idx] & 0xFF);
+                        if len == 0 {
+                            break 'run;
+                        }
+                        out[i..i + ENTRY_SYMS].copy_from_slice(&syms[idx]);
+                        i += usize::from(meta[idx] >> 8);
+                        buf <<= len;
+                        avail -= len;
+                    }
+                    buf |= word >> avail;
+                    next += ((63 - avail) >> 3) as usize;
+                    avail |= 56;
                     if payload.len() - next < 8 {
                         break;
                     }
-                    buf |= load(next) >> avail;
-                    let take = (63 - avail) >> 3;
-                    next += take as usize;
-                    avail += take << 3;
+                    word = load(next);
                 }
-                let entry = self.primary[(buf >> (64 - PRIMARY_BITS)) as usize];
-                let len = (entry & 0xFF) as u32;
-                if len == 0 {
-                    miss = true;
+                pos = next * 8 - avail as usize;
+                if i == n {
                     break;
                 }
-                out.push((entry >> 8) as u32);
-                buf <<= len;
-                avail -= len;
             }
-            pos = next * 8 - avail as usize;
-            if !miss {
-                break;
-            }
+            *done = i;
             let mut bits = reader_at(payload, pos)?;
-            out.push(self.decode_one_slow(&mut bits)?);
+            out[i] = self.decode_one_slow(&mut bits)?;
+            i += 1;
             pos = payload.len() * 8 - bits.remaining_bits();
         }
-        let mut bits = reader_at(payload, pos)?;
-        while out.len() < n {
-            out.push(self.decode_one_slow(&mut bits)?);
-        }
+        *done = i;
         Ok(())
     }
 
     /// Reference bit-by-bit canonical decode (the pre-table
     /// implementation). Kept as the fallback for codes longer than
-    /// `PRIMARY_BITS` and for stream tails, and as the oracle the
-    /// equivalence tests compare the fast path against.
+    /// `TABLE_BITS`, for stream tails and damaged payloads, and as the
+    /// oracle the equivalence tests compare the table path against.
     fn decode_one_slow(&self, bits: &mut BitReader) -> Result<u32> {
         let mut code = 0u64;
         for len in 1..=MAX_CODE_LEN as usize {
@@ -879,6 +952,17 @@ mod tests {
             // `mix_stream` puts codes of 12..=15 bits, 54 in all, in the
             // last 8 payload bytes.
             (1..=19).map(|l| (l, 1)).chain([(20, 2)]).collect(),
+            // Uniform codes that pack exactly one (6 + 6 > 11), two,
+            // three and four (the cap) to a table entry.
+            vec![(6, 64)],
+            vec![(4, 16)],
+            vec![(3, 8)],
+            vec![(2, 4)],
+            // Entries of one to four codes side by side.
+            vec![(1, 1), (3, 2), (4, 2), (5, 4)],
+            // Entries of 10 or 11 bits: nearly every block of probes has
+            // one that straddles the word a refill ORs in.
+            vec![(5, 30), (6, 4)],
         ]
     }
 
@@ -916,9 +1000,15 @@ mod tests {
     }
 
     /// Serialize `n` symbols over `payload` with the code table
-    /// `entries` and decode them through [`HuffmanDecoder::decode_with`]:
-    /// the symbols it produced, and its result.
-    fn decode_stream(entries: &[(u32, u32)], n: usize, payload: &[u8]) -> (Vec<u32>, Result<()>) {
+    /// `entries` and decode them through [`HuffmanDecoder::decode_with`]
+    /// in `scratch`, which the tests recycle across code tables as an
+    /// arena does: the symbols it produced, and its result.
+    fn decode_stream(
+        scratch: &mut HuffmanScratch,
+        entries: &[(u32, u32)],
+        n: usize,
+        payload: &[u8],
+    ) -> (Vec<u32>, Result<()>) {
         let mut w = ByteWriter::new();
         w.put_varint(entries.len() as u64);
         for &(sym, len) in entries {
@@ -929,11 +1019,7 @@ mod tests {
         w.put_len_prefixed(payload);
         let buf = w.finish();
         let mut out = Vec::new();
-        let res = HuffmanDecoder::decode_with(
-            &mut ByteReader::new(&buf),
-            &mut HuffmanScratch::new(),
-            &mut out,
-        );
+        let res = HuffmanDecoder::decode_with(&mut ByteReader::new(&buf), scratch, &mut out);
         (out, res)
     }
 
@@ -951,36 +1037,51 @@ mod tests {
         (out, Ok(()))
     }
 
-    /// The buffered decode loop must agree with the bit-by-bit canonical
+    /// The table decode loop must agree with the bit-by-bit canonical
     /// walk, symbol for symbol, on every code-length mix: around the
-    /// PRIMARY_BITS boundary, at MAX_CODE_LEN, with long codes in the
-    /// last 8 payload bytes, and on payloads shorter than 8 bytes.
+    /// TABLE_BITS boundary, at MAX_CODE_LEN, with long codes in the last
+    /// 8 payload bytes, with one to four codes per entry, and on payloads
+    /// too short for a table run. Each mix runs with small symbols and
+    /// with symbols spread over the whole `u32` range.
     #[test]
     fn fast_decode_matches_slow_on_adversarial_lengths() {
+        let mut counts = std::collections::BTreeSet::new();
+        let mut scratch = HuffmanScratch::new();
         for (mi, mix) in adversarial_mixes().iter().enumerate() {
             let kraft: u64 = mix
                 .iter()
                 .map(|&(l, n)| (n as u64) << (MAX_CODE_LEN + 8 - l))
                 .sum();
             assert_eq!(kraft, 1u64 << (MAX_CODE_LEN + 8), "mix {mi} not complete");
-            let entries = mix_entries(mix);
-            let coded = canonical_codes(entries.clone());
-            let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
-            let stream = mix_stream(mi as u64, &coded, 4000);
-            // Every prefix of up to 24 symbols (payloads from empty to
-            // past the 8-byte fast-path threshold), then the whole stream.
-            for k in (0..=24).chain([stream.len()]) {
-                let payload = pack(&stream[..k]);
-                let want: Vec<u32> = stream[..k].iter().map(|c| c.0).collect();
-                let oracle = slow_loop(&dec, &payload, k);
-                assert_eq!(oracle, (want, Ok(())), "mix {mi}: oracle, {k} symbols");
-                assert_eq!(
-                    decode_stream(&entries, k, &payload),
-                    oracle,
-                    "mix {mi}: {k} symbols"
-                );
+            let narrow = mix_entries(mix);
+            // Multiplying by an odd constant keeps the symbols distinct.
+            let wide = narrow
+                .iter()
+                .map(|&(s, l)| (s.wrapping_mul(0x9E37_79B1), l))
+                .collect();
+            for entries in [narrow, wide] {
+                let coded = canonical_codes(entries.clone());
+                let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
+                counts.extend(dec.table.meta.iter().map(|m| m >> 8));
+                let stream = mix_stream(mi as u64, &coded, 4000);
+                // Every prefix of up to 100 symbols (payloads from empty
+                // to past the room and byte thresholds of a table run),
+                // then the whole stream.
+                for k in (0..=100).chain([stream.len()]) {
+                    let payload = pack(&stream[..k]);
+                    let want: Vec<u32> = stream[..k].iter().map(|c| c.0).collect();
+                    let oracle = slow_loop(&dec, &payload, k);
+                    assert_eq!(oracle, (want, Ok(())), "mix {mi}: oracle, {k} symbols");
+                    assert_eq!(
+                        decode_stream(&mut scratch, &entries, k, &payload),
+                        oracle,
+                        "mix {mi}: {k} symbols"
+                    );
+                }
             }
         }
+        let want: std::collections::BTreeSet<u16> = (0..=ENTRY_SYMS as u16).collect();
+        assert_eq!(counts, want, "codes per table entry");
     }
 
     /// [`HuffmanEncoder::encode_with`] as it was, one checked
@@ -1077,10 +1178,12 @@ mod tests {
         // `decode_with` refuses a count the payload cannot hold before
         // decoding anything, so each check asks for at most 8 per byte.
         // Returns whether the oracle decoded every symbol asked for.
-        let check = |dec: &HuffmanDecoder, entries: &[(u32, u32)], n: usize, payload: &[u8]| {
+        let mut scratch = HuffmanScratch::new();
+        let mut check = |dec: &HuffmanDecoder, entries: &[(u32, u32)], n: usize, payload: &[u8]| {
             let n = n.min(payload.len() * 8);
             let oracle = slow_loop(dec, payload, n);
-            assert_eq!(decode_stream(entries, n, payload), oracle, "{n} symbols");
+            let got = decode_stream(&mut scratch, entries, n, payload);
+            assert_eq!(got, oracle, "{n} symbols");
             oracle.1.is_ok()
         };
         // Every code of a 1..=10 chain once, cut at every byte.
@@ -1120,6 +1223,72 @@ mod tests {
             let payload: Vec<u8> = (0..len).map(|i| splitmix64(len * 1000 + i) as u8).collect();
             check(&dec, &entries, payload.len() * 8, &payload);
         }
+        // Real bin payloads, whole, with seeded flips of one to three
+        // bits, and cut at seeded bytes.
+        for (ri, (entries, n, payload)) in real_bin_payloads().into_iter().enumerate() {
+            let dec = HuffmanDecoder::from_entries(entries.clone()).unwrap();
+            assert!(check(&dec, &entries, n, &payload), "payload {ri}");
+            for seed in 0..12u64 {
+                let mut flipped = payload.clone();
+                for f in 0..=seed % 3 {
+                    let bit = splitmix64(seed * 16 + f + 1) as usize % (payload.len() * 8);
+                    flipped[bit >> 3] ^= 0x80 >> (bit & 7);
+                }
+                check(&dec, &entries, n, &flipped);
+                let cut = splitmix64(seed + 100) as usize % payload.len();
+                check(&dec, &entries, n, &payload[..cut]);
+            }
+        }
+    }
+
+    /// A code table's `(symbol, length)` entries, a symbol count and a
+    /// payload.
+    type BinPayload = (Vec<(u32, u32)>, usize, Vec<u8>);
+
+    /// Quantizer bins of two real inputs as the engine orders them, level
+    /// by level around anchors, at `Rel(1e-3)`: a Miranda field the size
+    /// of a 32^3 QoZ chunk, and a 192x384 CESM field of the shape field
+    /// dumps use. Each comes back as the `(symbol, length)` table the
+    /// encoder serializes, the symbol count and the payload.
+    fn real_bin_payloads() -> Vec<BinPayload> {
+        use qoz_datagen::fields::{cesm_like, miranda_like};
+        use qoz_predict::{traverse_level, LevelConfig};
+        use qoz_tensor::Shape;
+
+        let mut out = Vec::new();
+        for (mut data, levels) in [
+            (miranda_like(Shape::d3(32, 32, 32), 0xA2C1_0F1E), 5),
+            (cesm_like(Shape::d2(192, 384), 0x51C0_FFEE), 6),
+        ] {
+            let q = crate::LinearQuantizer::new(1e-3 * data.value_range());
+            let shape = data.shape();
+            let mut bins = Vec::new();
+            let mut visit = |buf: &mut [f32], off: usize, p: f64| {
+                let qz = q.quantize(buf[off], p);
+                bins.push(qz.code);
+                buf[off] = qz.reconstructed;
+            };
+            for level in (1..=levels).rev() {
+                let cfg = LevelConfig::default();
+                traverse_level(data.as_mut_slice(), shape, level, cfg, &mut visit);
+            }
+            let enc = HuffmanEncoder::from_symbols(&bins).expect("fields have bins");
+            let mut w = ByteWriter::new();
+            enc.encode(&bins, &mut w);
+            let bytes = w.finish();
+            let mut r = ByteReader::new(&bytes);
+            let entries = (0..r.get_varint().unwrap())
+                .map(|_| {
+                    (
+                        r.get_varint().unwrap() as u32,
+                        u32::from(r.get_u8().unwrap()),
+                    )
+                })
+                .collect();
+            let n = r.get_varint().unwrap() as usize;
+            out.push((entries, n, r.get_len_prefixed().unwrap().to_vec()));
+        }
+        out
     }
 
     #[test]

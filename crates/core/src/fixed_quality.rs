@@ -11,7 +11,7 @@
 //! The result still carries QoZ's hard error-bound guarantee at the bound
 //! the search settles on.
 
-use crate::{Qoz, QozPlan};
+use crate::{write_plan_stream, Qoz, QozPlan};
 use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_codec::{Result, Scratch};
 use qoz_metrics::{psnr, ssim};
@@ -217,14 +217,15 @@ impl Qoz {
     /// Compress to a minimum quality target, maximizing compression ratio
     /// subject to it.
     ///
-    /// Returns an error only if decompression of the self-produced stream
-    /// fails (which would be a bug); an unreachable target (e.g. SSIM
-    /// 1.0 on noisy data) converges to the tightest searched bound.
+    /// Each full pass measures the quality on the engine's own
+    /// reconstruction, which is the one the stream decodes to, so only
+    /// the pass returned is entropy-coded. An unreachable target (e.g.
+    /// SSIM 1.0 on noisy data) converges to the tightest searched bound.
     pub fn compress_to_quality<T: Scalar>(
         &self,
         data: &NdArray<T>,
         target: QualityTarget,
-    ) -> Result<FixedQualityResult> {
+    ) -> FixedQualityResult {
         let range = data.value_range();
         let plan_cfg = SamplePlan::from_rate(
             data.shape(),
@@ -246,46 +247,31 @@ impl Qoz {
                 hi = mid;
             }
         }
-        // The full passes below stage in arenas of their own.
-        drop(scratch);
         let mut eps = lo;
 
-        // Full pass with the real tuner; verify and tighten if the
-        // sampled estimate was optimistic.
-        for _attempt in 0..4 {
-            let bound = ErrorBound::Rel(eps);
-            let plan = self.plan(data, bound);
-            let blob = self.compress_with_plan_scratched(data, &plan, &mut Scratch::new());
-            let recon: NdArray<T> = self.decompress(&blob)?;
+        // Full passes with the real tuner, tightening the bound while
+        // the sampled estimate was optimistic: four verified passes,
+        // then one at the tightest bound tried.
+        for attempt in 0..5 {
+            let plan = self.plan(data, ErrorBound::Rel(eps));
+            compress_with_spec_into(data, &plan.spec, &mut scratch);
+            let recon = NdArray::from_vec(data.shape(), std::mem::take(&mut scratch.work));
             let achieved = match target {
                 QualityTarget::Psnr(_) => psnr(data, &recon),
                 QualityTarget::Ssim(_) => ssim(data, &recon),
             };
-            if target.satisfied(achieved) || eps <= 2e-8 {
-                return Ok(FixedQualityResult {
-                    blob,
+            scratch.work = recon.into_vec();
+            if target.satisfied(achieved) || eps <= 2e-8 || attempt == 4 {
+                return FixedQualityResult {
+                    blob: write_plan_stream(data.shape(), &plan, &mut scratch),
                     rel_bound: eps,
                     achieved,
                     plan,
-                });
+                };
             }
             eps /= 2.0;
         }
-        // Final fallback at the tightest bound tried.
-        let bound = ErrorBound::Rel(eps);
-        let plan = self.plan(data, bound);
-        let blob = self.compress_with_plan_scratched(data, &plan, &mut Scratch::new());
-        let recon: NdArray<T> = self.decompress(&blob)?;
-        let achieved = match target {
-            QualityTarget::Psnr(_) => psnr(data, &recon),
-            QualityTarget::Ssim(_) => ssim(data, &recon),
-        };
-        Ok(FixedQualityResult {
-            blob,
-            rel_bound: eps,
-            achieved,
-            plan,
-        })
+        unreachable!("the last pass returns")
     }
 }
 
@@ -299,9 +285,7 @@ mod tests {
         let data = Dataset::CesmAtm.generate(SizeClass::Tiny, 0);
         let qoz = Qoz::default();
         for target_db in [50.0, 70.0] {
-            let r = qoz
-                .compress_to_quality(&data, QualityTarget::Psnr(target_db))
-                .unwrap();
+            let r = qoz.compress_to_quality(&data, QualityTarget::Psnr(target_db));
             assert!(
                 r.achieved >= target_db,
                 "target {target_db} dB, achieved {:.2}",
@@ -320,12 +304,8 @@ mod tests {
     fn higher_target_costs_more_bits() {
         let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
         let qoz = Qoz::default();
-        let a = qoz
-            .compress_to_quality(&data, QualityTarget::Psnr(45.0))
-            .unwrap();
-        let b = qoz
-            .compress_to_quality(&data, QualityTarget::Psnr(80.0))
-            .unwrap();
+        let a = qoz.compress_to_quality(&data, QualityTarget::Psnr(45.0));
+        let b = qoz.compress_to_quality(&data, QualityTarget::Psnr(80.0));
         assert!(b.blob.len() > a.blob.len());
         assert!(b.rel_bound < a.rel_bound);
     }
@@ -334,10 +314,10 @@ mod tests {
     fn hits_ssim_target() {
         let data = Dataset::Hurricane.generate(SizeClass::Tiny, 0);
         let qoz = Qoz::default();
-        let r = qoz
-            .compress_to_quality(&data, QualityTarget::Ssim(0.95))
-            .unwrap();
+        let r = qoz.compress_to_quality(&data, QualityTarget::Ssim(0.95));
         assert!(r.achieved >= 0.95, "achieved {:.4}", r.achieved);
+        let recon: NdArray<f32> = qoz.decompress(&r.blob).unwrap();
+        assert_eq!(ssim(&data, &recon), r.achieved);
     }
 
     #[test]
@@ -383,11 +363,12 @@ mod tests {
     fn stream_remains_decodable_and_bounded() {
         let data = Dataset::Nyx.generate(SizeClass::Tiny, 1);
         let qoz = Qoz::default();
-        let r = qoz
-            .compress_to_quality(&data, QualityTarget::Psnr(60.0))
-            .unwrap();
+        let r = qoz.compress_to_quality(&data, QualityTarget::Psnr(60.0));
         let recon: qoz_tensor::NdArray<f32> = qoz.decompress(&r.blob).unwrap();
         let abs = r.rel_bound * data.value_range();
         assert!(data.max_abs_diff(&recon) <= abs * (1.0 + 1e-9));
+        // Measured on the engine's reconstruction, `achieved` is the
+        // decoded stream's quality exactly.
+        assert_eq!(psnr(&data, &recon), r.achieved);
     }
 }

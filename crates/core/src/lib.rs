@@ -57,7 +57,7 @@ use qoz_codec::{ByteReader, LinearQuantizer, Result, Scratch};
 use qoz_metrics::QualityMetric;
 use qoz_predict::LevelConfig;
 use qoz_sz3::{select_global_interp, InterpSpec};
-use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar};
+use qoz_tensor::{sample_blocks, NdArray, SamplePlan, Scalar, Shape};
 
 /// The tuned plan a compression run settled on — exposed for inspection,
 /// benchmarking (Fig. 12/13) and reproducibility.
@@ -167,18 +167,24 @@ impl Qoz {
         scratch: &mut Scratch<T>,
     ) -> Vec<u8> {
         qoz_sz3::compress_with_spec_into(data, &plan.spec, scratch);
-        qoz_sz3::engine::write_stream(
-            &Header {
-                compressor: CompressorId::Qoz,
-                scalar_tag: T::TYPE_TAG,
-                shape: data.shape(),
-                abs_eb: plan.abs_eb,
-                temporal: None,
-            },
-            &plan.spec,
-            scratch,
-        )
+        write_plan_stream(data.shape(), plan, scratch)
     }
+}
+
+/// The QoZ stream of a `shape`d array whose engine pass with `plan` is
+/// staged in `scratch`.
+fn write_plan_stream<T: Scalar>(shape: Shape, plan: &QozPlan, scratch: &mut Scratch<T>) -> Vec<u8> {
+    qoz_sz3::engine::write_stream(
+        &Header {
+            compressor: CompressorId::Qoz,
+            scalar_tag: T::TYPE_TAG,
+            shape,
+            abs_eb: plan.abs_eb,
+            temporal: None,
+        },
+        &plan.spec,
+        scratch,
+    )
 }
 
 impl<T: Scalar> Compressor<T> for Qoz {

@@ -1,5 +1,6 @@
 //! Kernel probe: the per-point and per-byte cost of the encode kernels
-//! that every tuner trial and every SZ-family compress runs.
+//! that every tuner trial and every SZ-family compress runs, and of the
+//! two decode kernels every SZ-family decompress runs.
 //!
 //! ```text
 //! cargo run --release --example kernel_probe [-- REPS]
@@ -25,18 +26,32 @@
 //!   run on as many cores as `available_parallelism()` reports, so
 //!   `taskset -c 0` gives the one-worker time.
 //!
+//! The decode rows run over two sets of bound streams: the twelve
+//! fields compressed with their plans (`field-dump`'s bound streams),
+//! and the eighteen 32^3 chunks of a 64x96x96 `miranda_like` field at
+//! `Rel(1e-3)` of the whole field, each with its own compression-ratio
+//! plan, as `region-reads` stores them. The probe prints each set's
+//! Huffman payload bits per bin, then:
+//!
+//! - `huffman decode`: `HuffmanDecoder::decode_with` over the stream's
+//!   Huffman serialization, ns per bin;
+//! - `reconstruct`: `decompress_with_spec_into` from the decoded
+//!   sections, ns per point.
+//!
 //! The probe calls only public items that predate it, so the same file
 //! runs against older checkouts for a before/after comparison.
 
-use qoz_suite::codec::huffman::{HuffmanEncoder, HuffmanScratch};
+use qoz_suite::codec::huffman::{HuffmanDecoder, HuffmanEncoder, HuffmanScratch};
 use qoz_suite::codec::lz::{lzss_compress_with, LzScratch};
-use qoz_suite::codec::{ByteWriter, EntropyScratch, ErrorBound, LinearQuantizer, Scratch};
+use qoz_suite::codec::{
+    ByteReader, ByteWriter, EntropyScratch, ErrorBound, LinearQuantizer, Scratch,
+};
 use qoz_suite::datagen::fields::*;
 use qoz_suite::datagen::Dataset;
 use qoz_suite::metrics::QualityMetric;
 use qoz_suite::qoz::{level_error_bounds, Qoz};
-use qoz_suite::sz3::{compress_with_spec_into, InterpSpec};
-use qoz_suite::tensor::{sample_blocks, NdArray, SamplePlan, Shape};
+use qoz_suite::sz3::{compress_with_spec_into, decompress_with_spec_into, InterpSpec};
+use qoz_suite::tensor::{sample_blocks, NdArray, Region, SamplePlan, Shape};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,14 +87,65 @@ fn generate(ds: Dataset, field: u64) -> NdArray<f32> {
     }
 }
 
+/// A bound stream's sections, as its decoder stages them.
+struct Stream {
+    shape: Shape,
+    spec: InterpSpec,
+    bins: Vec<u32>,
+    unpred: Vec<u8>,
+    anchors: Vec<u8>,
+    /// The bins' Huffman serialization.
+    huff: Vec<u8>,
+    /// Bits of the Huffman payload.
+    payload_bits: usize,
+}
+
+/// `data` compressed with `spec`, split into its decode-side sections.
+fn stream(data: &NdArray<f32>, spec: InterpSpec) -> Stream {
+    let mut s = Scratch::new();
+    compress_with_spec_into(data, &spec, &mut s);
+    let enc = HuffmanEncoder::from_symbols(&s.bins).expect("a stream has bins");
+    let mut w = ByteWriter::new();
+    enc.encode(&s.bins, &mut w);
+    Stream {
+        shape: data.shape(),
+        spec,
+        payload_bits: enc.payload_bits(&s.bins).expect("every bin is coded"),
+        bins: s.bins,
+        unpred: s.unpred,
+        anchors: s.anchors,
+        huff: w.finish(),
+    }
+}
+
+/// The eighteen 32^3 chunks of `region-reads`' 64x96x96 Miranda field,
+/// each planned for compression ratio at the whole field's `Rel(1e-3)`.
+fn chunk_streams() -> Vec<Stream> {
+    let field = miranda_like(Shape::d3(64, 96, 96), 0xA2C1_0F1E);
+    let bound = ErrorBound::Abs(ErrorBound::Rel(1e-3).absolute(&field));
+    let qoz = Qoz::for_metric(QualityMetric::CompressionRatio);
+    let mut streams = Vec::new();
+    for i in 0..2 {
+        for j in 0..3 {
+            for k in 0..3 {
+                let region = Region::new(&[32 * i, 32 * j, 32 * k], &[32, 32, 32]);
+                let chunk = field.extract_region(&region);
+                streams.push(stream(&chunk, qoz.plan(&chunk, bound).spec));
+            }
+        }
+    }
+    streams
+}
+
 /// One field's inputs to every kernel.
 struct Input {
     field: NdArray<f32>,
-    full_spec: InterpSpec,
     blocks: Vec<NdArray<f32>>,
     trial_spec: InterpSpec,
     bins: Vec<u32>,
     huff: Vec<u8>,
+    /// The field's bound stream.
+    full: Stream,
 }
 
 fn prepare(ds: Dataset, field: u64) -> Input {
@@ -115,13 +181,36 @@ fn prepare(ds: Dataset, field: u64) -> Input {
     let mut w = ByteWriter::new();
     enc.encode(&bins, &mut w);
     Input {
+        full: stream(&data, plan.spec),
         field: data,
-        full_spec: plan.spec,
         blocks,
         trial_spec,
         bins,
         huff: w.finish(),
     }
+}
+
+/// Fastest of `reps` rounds of Huffman decode and of reconstruct over
+/// `streams`, in ns.
+fn decode_ns(reps: usize, streams: &[&Stream]) -> (f64, f64) {
+    let (mut hs, mut symbols) = (HuffmanScratch::new(), Vec::new());
+    let huffman = best_ns(reps, || {
+        for st in streams {
+            let mut r = ByteReader::new(black_box(&st.huff));
+            HuffmanDecoder::decode_with(&mut r, &mut hs, &mut symbols).expect("a valid stream");
+            black_box(&symbols);
+        }
+    });
+    let mut out = NdArray::<f32>::zeros(Shape::d1(1));
+    let reconstruct = best_ns(reps, || {
+        for st in streams {
+            let (bins, unpred, anchors) = (&st.bins, &st.unpred, &st.anchors);
+            decompress_with_spec_into(st.shape, &st.spec, bins, unpred, anchors, &mut out)
+                .expect("valid sections");
+            black_box(&out);
+        }
+    });
+    (huffman, reconstruct)
 }
 
 /// Fastest of `reps` rounds of `round`, in ns.
@@ -170,7 +259,7 @@ fn main() {
     });
     let engine_full = best_ns(reps, || {
         for i in &inputs {
-            black_box(compress_with_spec_into(&i.field, &i.full_spec, &mut s));
+            black_box(compress_with_spec_into(&i.field, &i.full.spec, &mut s));
         }
     });
     let mut hs = HuffmanScratch::new();
@@ -232,4 +321,33 @@ fn main() {
     }
     let per_plan_ms = plan / inputs.len() as f64 / 1e6;
     println!("{:<24} {per_plan_ms:>10.3} ms/plan", "plan");
+
+    let chunks = chunk_streams();
+    for (set, streams) in [
+        (
+            "field-dump",
+            inputs.iter().map(|i| &i.full).collect::<Vec<_>>(),
+        ),
+        ("32^3 chunks", chunks.iter().collect()),
+    ] {
+        let bins: usize = streams.iter().map(|st| st.bins.len()).sum();
+        let bits: usize = streams.iter().map(|st| st.payload_bits).sum();
+        let points: usize = streams.iter().map(|st| st.shape.len()).sum();
+        let (huffman, reconstruct) = decode_ns(reps, &streams);
+        println!(
+            "{set}: {} bound streams, {points} points, {bins} bins, {:.2} bits/bin",
+            streams.len(),
+            bits as f64 / bins as f64
+        );
+        println!(
+            "{:<24} {:>10.3} ns/bin",
+            "huffman decode",
+            huffman / bins as f64
+        );
+        println!(
+            "{:<24} {:>10.3} ns/point",
+            "reconstruct",
+            reconstruct / points as f64
+        );
+    }
 }

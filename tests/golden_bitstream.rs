@@ -231,25 +231,32 @@ fn metric_tuned_qoz_streams_are_byte_identical_to_seed() {
     }
 }
 
-/// A quality-target stream: the sampled bisection, the tuner at the
-/// bound it settles on, and the verifying full pass.
+/// Quality-target streams: the sampled bisection, the tuner at the
+/// bound it settles on, and the verifying full passes. Miranda at 70 dB
+/// passes on its first pass; CESM at 60 dB misses it (59.99 dB) and
+/// returns its second, at half the bound.
 #[test]
 fn psnr_target_stream_is_byte_identical_to_seed() {
     use qoz_suite::api::Session;
 
-    let data = Dataset::Miranda.generate(SizeClass::Tiny, 0);
-    let session = Session::builder().psnr(70.0).build().unwrap();
-    let out = session.compress(&data).unwrap();
-    let recon: qoz_suite::tensor::NdArray<f32> = session.decompress(&out.blob).unwrap();
-    assert!(qoz_suite::metrics::psnr(&data, &recon) >= 70.0);
-    let (len, hash) = (16164, 0xa25874ea329ac0ad);
-    assert_eq!(
-        (out.blob.len(), fnv1a(&out.blob)),
-        (len, hash),
-        "Psnr(70) stream changed: got ({}, {:#x})",
-        out.blob.len(),
-        fnv1a(&out.blob)
-    );
+    let expect = [
+        (Dataset::Miranda, 70.0, 16164, 0xa25874ea329ac0ad),
+        (Dataset::CesmAtm, 60.0, 6425, 0xafe635c258379c91),
+    ];
+    for (ds, db, len, hash) in expect {
+        let data = ds.generate(SizeClass::Tiny, 0);
+        let session = Session::builder().psnr(db).build().unwrap();
+        let out = session.compress(&data).unwrap();
+        let recon: qoz_suite::tensor::NdArray<f32> = session.decompress(&out.blob).unwrap();
+        assert!(qoz_suite::metrics::psnr(&data, &recon) >= db);
+        assert_eq!(
+            (out.blob.len(), fnv1a(&out.blob)),
+            (len, hash),
+            "{ds:?} Psnr({db}) stream changed: got ({}, {:#x})",
+            out.blob.len(),
+            fnv1a(&out.blob)
+        );
+    }
 }
 
 /// The SZ2 and MGARD+ baselines share the quantizer and the entropy
