@@ -15,14 +15,13 @@
 //! step appends its snapshot, and readers serve region queries over any
 //! timestep — including concurrently, through one shared reader handle.
 
-use crate::format::{fnv1a, snapshot_name, TemporalKind, Toc, VarMeta, MAGIC, SUPERBLOCK_LEN};
-use crate::reader::ArchiveReader;
+use crate::format::{sink_error, snapshot_name, write_head, TemporalKind, Toc};
+use crate::reader::{ArchiveReader, Chunks};
 use crate::source::{ByteSource, FileSource, SliceSource};
-use crate::writer::ArchiveWriter;
+use crate::writer::{write_atomically, ArchiveWriter};
 use crate::{ArchiveError, Result};
 use qoz_codec::stream::{Compressor, ErrorBound};
-use qoz_codec::ByteWriter;
-use qoz_temporal::{accumulate_residual, form_residual, TemporalSession};
+use qoz_temporal::{form_residual, TemporalSession};
 use qoz_tensor::{NdArray, Scalar};
 
 /// Streaming copy granularity for the existing payload during write-out.
@@ -76,24 +75,6 @@ impl<S: ByteSource> ArchiveAppender<S> {
     pub fn with_chunk_side(mut self, side: usize) -> Self {
         self.writer = self.writer.with_chunk_side(side);
         self
-    }
-
-    /// Override the number of compression worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.writer = self.writer.with_threads(threads);
-        self
-    }
-
-    /// The archive being appended to (TOC access, region reads of
-    /// already-stored variables).
-    pub fn existing(&self) -> &ArchiveReader<S> {
-        &self.reader
-    }
-
-    /// Variables staged by this appender so far (offsets still relative
-    /// to the *staged* payload; they are rebased on write-out).
-    pub fn staged(&self) -> &Toc {
-        self.writer.toc()
     }
 
     /// Compress `data` under `bound` and stage it as a new variable
@@ -162,32 +143,29 @@ impl<S: ByteSource> ArchiveAppender<S> {
         C: Compressor<T> + ?Sized,
     {
         let name = snapshot_name(base, t);
-        if self.reader.toc().vars.iter().any(|v| v.name == name) {
+        let toc = self.merged_toc();
+        if toc.var(&name).is_ok() {
             return Err(ArchiveError::DuplicateVariable(name));
         }
         // The chain predecessor: the latest snapshot of `base` strictly
         // before `t`, staged or already stored.
-        let prev = self
-            .reader
-            .toc()
+        let prev = toc
             .snapshots(base)
             .into_iter()
-            .chain(self.writer.toc().snapshots(base))
             .filter(|&(pt, _)| pt < t)
             .max_by_key(|&(pt, _)| pt)
-            .map(|(_, v)| (v.name.clone(), v.shape, v.scalar_tag));
-        let usable = prev
-            .as_ref()
-            .filter(|(_, shape, tag)| *shape == data.shape() && *tag == T::TYPE_TAG);
+            .map(|(_, v)| v)
+            .filter(|v| v.shape == data.shape() && v.scalar_tag == T::TYPE_TAG);
         let keyframe = |s: &mut Self| -> Result<TemporalKind> {
             s.writer
                 .add_variable_kind(&name, data, compressor, bound, TemporalKind::Keyframe)?;
             Ok(TemporalKind::Keyframe)
         };
-        let Some((prev_name, _, _)) = usable.cloned() else {
+        let Some(prev) = prev else {
             record_chain_outcome("keyframe");
             return keyframe(self);
         };
+        let prev_name = prev.name.clone();
         let prev_recon: NdArray<T> = self.reconstruct_snapshot(&prev_name)?;
         if !TemporalSession::residual_beats_spatial(data, &prev_recon) {
             record_chain_outcome("fallback");
@@ -215,50 +193,18 @@ impl<S: ByteSource> ArchiveAppender<S> {
     /// temporal chain across both the existing archive and the staged
     /// (not yet written) variables of this appender.
     pub fn reconstruct_snapshot<T: Scalar>(&self, name: &str) -> Result<NdArray<T>> {
-        match self.writer.toc().var(name) {
-            Ok(v) => {
-                let mut field = self.staged_full::<T>(v)?;
-                if let TemporalKind::Delta { prev } = &v.temporal {
-                    // Staged deltas only ever reference snapshots staged
-                    // earlier or already stored, so this recursion walks
-                    // strictly backward and terminates.
-                    let mut acc = self.reconstruct_snapshot::<T>(prev)?;
-                    accumulate_residual(&mut acc, &field)?;
-                    field = acc;
-                }
-                Ok(field)
-            }
-            // Stored variables chain-resolve inside the reader.
-            Err(_) => self.reader.read_full(name),
-        }
-    }
-
-    /// Decode a staged variable's chunks straight from the staging
-    /// payload (raw: a delta variable yields its residual field).
-    fn staged_full<T: Scalar>(&self, v: &VarMeta) -> Result<NdArray<T>> {
-        if v.scalar_tag != T::TYPE_TAG {
-            return Err(ArchiveError::TypeMismatch {
-                stored: v.scalar_tag,
-                requested: T::TYPE_TAG,
-            });
-        }
-        let codec = qoz_api::BackendRegistry::new().codec::<T>(v.compressor);
-        let payload = self.writer.payload();
-        let mut out = NdArray::zeros(v.shape);
-        for (entry, region) in v.chunks.iter().zip(v.chunk_regions()) {
-            let blob = &payload[entry.offset as usize..(entry.offset + entry.len) as usize];
-            let chunk = codec.decompress(blob)?;
-            if chunk.shape().dims() != region.size() {
-                return Err(ArchiveError::Corrupt("staged chunk disagrees with index"));
-            }
-            out.insert_region(&region, &chunk);
-        }
-        Ok(out)
+        let toc = self.merged_toc();
+        let chunks = Chunks {
+            reader: &self.reader,
+            toc: &toc,
+            staged: SliceSource::new(self.writer.payload()),
+        };
+        chunks.read_full(name)
     }
 
     /// The merged TOC the rewritten archive will carry: existing
     /// variables verbatim, staged variables rebased behind them.
-    pub fn merged_toc(&self) -> Toc {
+    fn merged_toc(&self) -> Toc {
         let base = self.reader.payload_len();
         let mut toc = self.reader.toc().clone();
         for v in &self.writer.toc().vars {
@@ -275,29 +221,18 @@ impl<S: ByteSource> ArchiveAppender<S> {
     /// and TOC, then the existing payload streamed from the source in
     /// bounded pieces, then the staged payload. Returns bytes written.
     pub fn write_into(&self, sink: &mut dyn std::io::Write) -> Result<u64> {
-        let io_err = |e: std::io::Error| ArchiveError::Io(format!("archive sink: {e}"));
-        let merged = self.merged_toc();
-        let toc_bytes = merged.encode();
-        let mut sb = ByteWriter::with_capacity(SUPERBLOCK_LEN);
-        sb.put_bytes(&MAGIC);
-        sb.put_u8(merged.version());
-        sb.put_u8(0); // flags, reserved
-        sb.put_u64(toc_bytes.len() as u64);
-        let sb = sb.finish();
-        sink.write_all(&sb).map_err(io_err)?;
-        sink.write_all(&toc_bytes).map_err(io_err)?;
-        sink.write_all(&fnv1a(&toc_bytes).to_le_bytes())
-            .map_err(io_err)?;
+        let head = write_head(&self.merged_toc(), sink)?;
         let old_len = self.reader.payload_len();
         let mut off = 0u64;
         while off < old_len {
             let n = (old_len - off).min(COPY_CHUNK as u64) as usize;
             let piece = self.reader.read_payload(off, n)?;
-            sink.write_all(&piece).map_err(io_err)?;
+            sink.write_all(&piece).map_err(sink_error)?;
             off += n as u64;
         }
-        sink.write_all(self.writer.payload()).map_err(io_err)?;
-        Ok((sb.len() + toc_bytes.len() + 8) as u64 + old_len + self.writer.payload().len() as u64)
+        let staged = self.writer.payload();
+        sink.write_all(staged).map_err(sink_error)?;
+        Ok(head + old_len + staged.len() as u64)
     }
 
     /// Serialize the grown archive into one in-memory buffer.
@@ -315,20 +250,7 @@ impl<S: ByteSource> ArchiveAppender<S> {
     /// archive in whole, so a crash mid-append never leaves a torn
     /// container behind.
     pub fn write_to(self, path: &str) -> Result<u64> {
-        let tmp = format!("{path}.{}.qztmp", std::process::id());
-        let io_err = |e: std::io::Error| ArchiveError::Io(format!("cannot write {path}: {e}"));
-        let written = (|| {
-            let file = std::fs::File::create(&tmp).map_err(io_err)?;
-            let mut sink = std::io::BufWriter::new(file);
-            let written = self.write_into(&mut sink)?;
-            std::io::Write::flush(&mut sink).map_err(io_err)?;
-            std::fs::rename(&tmp, path).map_err(io_err)?;
-            Ok(written)
-        })();
-        if written.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        written
+        write_atomically(path, |sink| self.write_into(sink))
     }
 }
 

@@ -68,6 +68,28 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Write a container's head to `sink`: the superblock, `toc` encoded,
+/// and the TOC checksum. Every writer emits its head here and its
+/// payload right after; returns the bytes written.
+pub(crate) fn write_head(toc: &Toc, sink: &mut dyn std::io::Write) -> Result<u64> {
+    let toc_bytes = toc.encode();
+    let mut head = ByteWriter::with_capacity(SUPERBLOCK_LEN + toc_bytes.len() + 8);
+    head.put_bytes(&MAGIC);
+    head.put_u8(toc.version());
+    head.put_u8(0); // flags, reserved
+    head.put_u64(toc_bytes.len() as u64);
+    head.put_bytes(&toc_bytes);
+    head.put_u64(fnv1a(&toc_bytes));
+    let head = head.finish();
+    sink.write_all(&head).map_err(sink_error)?;
+    Ok(head.len() as u64)
+}
+
+/// The error a failed write to an archive sink reports.
+pub(crate) fn sink_error(e: std::io::Error) -> ArchiveError {
+    ArchiveError::Io(format!("archive sink: {e}"))
+}
+
 /// Index entry for one stored chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {

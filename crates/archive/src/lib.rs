@@ -18,15 +18,23 @@
 //!   read. Every read method takes `&self`, so one open reader serves
 //!   concurrent queries from many threads (pair with
 //!   [`ArchiveReader::read_region_with`] to give each thread its own
-//!   scratch arena);
+//!   scratch arena). All reads share one temporal-chain walk, one
+//!   member read and one checksum-verifying chunk fetch, which
+//!   [`ArchiveReader::verify`] uses too;
 //! * [`ArchiveAppender`] grows an existing archive in place: new
 //!   variables — or new timesteps via the [`snapshot_name`]
 //!   multi-snapshot convention — land behind the existing payload,
 //!   which is kept byte-for-byte while only the superblock and TOC are
-//!   rewritten (atomically, via temp file + rename);
+//!   rewritten. It rebuilds a chain predecessor through the reader's
+//!   own chain walk;
 //! * [`ByteSource`] abstracts the byte store (file or in-memory) and
 //!   counts bytes fetched, making the I/O saving of partial reads
 //!   observable.
+//!
+//! Both writers emit the same container head, and both `write_to`s
+//! write a temp file and rename it over the target, so a write that
+//! fails or is killed part-way never leaves a torn archive at the
+//! target path.
 //!
 //! ```
 //! use qoz_api::{BackendId, BackendRegistry};

@@ -70,6 +70,25 @@ pub struct ChunkFault {
     pub kind: FaultKind,
 }
 
+impl ChunkFault {
+    /// The fault of chunk `chunk` of `var` whose read failed with `e`:
+    /// bytes that hash wrong or will not decode are a bit-flip, bytes
+    /// that cannot be read a truncation.
+    fn new(var: &VarMeta, chunk: usize, e: &ArchiveError) -> Self {
+        let kind = match e {
+            ArchiveError::ChecksumMismatch { .. }
+            | ArchiveError::Codec(_)
+            | ArchiveError::Corrupt(_) => FaultKind::BitFlip,
+            _ => FaultKind::Truncated,
+        };
+        ChunkFault {
+            var: var.name.clone(),
+            chunk,
+            kind,
+        }
+    }
+}
+
 /// Full damage report returned by [`ArchiveReader::verify`].
 ///
 /// Verification scans **every** chunk of every variable — it never
@@ -188,92 +207,18 @@ impl<S: ByteSource> ArchiveReader<S> {
 
     /// Fetch `len` raw payload bytes at payload-relative `offset`
     /// (no checksum verification — the appender streams old payload
-    /// through this; chunk-granular reads go through `fetch_chunk`).
+    /// through this; chunk-granular reads go through `Chunks::fetch`).
     pub(crate) fn read_payload(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.src.read_at(self.payload_start + offset, len)
     }
 
-    /// Fetch chunk `k` of `var` and verify its checksum.
-    fn fetch_chunk(&self, var_idx: usize, k: usize) -> Result<Vec<u8>> {
-        let m = read_metrics();
-        let entry = self.toc.vars[var_idx].chunks[k];
-        m.chunk_fetches.inc();
-        let blob = self
-            .src
-            .read_at(self.payload_start + entry.offset, entry.len as usize)?;
-        m.bytes_read.add(blob.len() as u64);
-        if fnv1a(&blob) != entry.checksum {
-            m.faults_bit_flip.inc();
-            return Err(ArchiveError::ChecksumMismatch {
-                var: self.toc.vars[var_idx].name.clone(),
-                chunk: k,
-            });
+    /// This archive's chunks, as its own TOC indexes them.
+    fn chunks(&self) -> Chunks<'_, S> {
+        Chunks {
+            reader: self,
+            toc: &self.toc,
+            staged: SliceSource::new(&[]),
         }
-        Ok(blob)
-    }
-
-    /// Fetch chunk `k` of `var`, mapping any failure to the
-    /// [`FaultKind`] a damage report records: an unreadable byte range
-    /// is truncation, a readable range with the wrong hash a bit-flip.
-    fn classify_chunk(&self, var_idx: usize, k: usize) -> std::result::Result<Vec<u8>, FaultKind> {
-        let m = read_metrics();
-        let entry = self.toc.vars[var_idx].chunks[k];
-        m.chunk_fetches.inc();
-        let blob = self
-            .src
-            .read_at(self.payload_start + entry.offset, entry.len as usize)
-            .map_err(|_| {
-                m.faults_truncated.inc();
-                FaultKind::Truncated
-            })?;
-        m.bytes_read.add(blob.len() as u64);
-        if fnv1a(&blob) != entry.checksum {
-            m.faults_bit_flip.inc();
-            return Err(FaultKind::BitFlip);
-        }
-        Ok(blob)
-    }
-
-    fn var_index<T: Scalar>(&self, name: &str) -> Result<usize> {
-        let idx = self
-            .toc
-            .vars
-            .iter()
-            .position(|v| v.name == name)
-            .ok_or_else(|| ArchiveError::UnknownVariable(name.to_string()))?;
-        let stored = self.toc.vars[idx].scalar_tag;
-        if stored != T::TYPE_TAG {
-            return Err(ArchiveError::TypeMismatch {
-                stored,
-                requested: T::TYPE_TAG,
-            });
-        }
-        Ok(idx)
-    }
-
-    /// Resolve the temporal chain that reconstructs `name`: variable
-    /// indices from the chain base (a keyframe or independent variable)
-    /// through `name` itself. Ordinary variables resolve to a
-    /// single-element chain, so the non-temporal read path is unchanged.
-    fn chain_indices<T: Scalar>(&self, name: &str) -> Result<Vec<usize>> {
-        let mut chain = vec![self.var_index::<T>(name)?];
-        loop {
-            let v = &self.toc.vars[*chain.last().expect("non-empty")];
-            match &v.temporal {
-                TemporalKind::Delta { prev } => {
-                    // The TOC decoder already enforces earlier-only
-                    // predecessor references; the length guard keeps a
-                    // hand-built TOC from looping us regardless.
-                    if chain.len() > self.toc.vars.len() {
-                        return Err(ArchiveError::Corrupt("temporal chain cycle"));
-                    }
-                    chain.push(self.var_index::<T>(prev)?);
-                }
-                _ => break,
-            }
-        }
-        chain.reverse();
-        Ok(chain)
     }
 
     /// Decompress the slab of `var` covered by `region`, touching only
@@ -293,33 +238,8 @@ impl<S: ByteSource> ArchiveReader<S> {
     /// extraction, so a chained region read still touches only the
     /// chunks each member's region intersects, never whole snapshots.
     pub fn read_region<T: Scalar>(&self, name: &str, region: &Region) -> Result<NdArray<T>> {
-        let chain = self.chain_indices::<T>(name)?;
-        let mut acc = self.read_region_member::<T>(chain[0], region)?;
-        for &idx in &chain[1..] {
-            let residual = self.read_region_member::<T>(idx, region)?;
-            qoz_temporal::accumulate_residual(&mut acc, &residual)?;
-        }
-        Ok(acc)
-    }
-
-    /// One chain member's (raw) region slab — for delta members this is
-    /// the residual field, not a reconstruction.
-    fn read_region_member<T: Scalar>(&self, var_idx: usize, region: &Region) -> Result<NdArray<T>> {
-        let (grid, hits) = self.plan_region(var_idx, region)?;
-        let mut blobs = Vec::with_capacity(hits.len());
-        for &(k, _) in &hits {
-            blobs.push(self.fetch_chunk(var_idx, k)?);
-        }
-        let codec = qoz_api::BackendRegistry::new().codec::<T>(self.toc.vars[var_idx].compressor);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunks = qoz_pario::decompress_chunks(&*codec, &blobs, threads)?;
-        let m = read_metrics();
-        m.chunks_decoded.add(chunks.len() as u64);
-        let slab = stitch(region, &grid, &hits, &chunks)?;
-        m.bytes_served.add((slab.len() * T::BYTES) as u64);
-        Ok(slab)
+        self.chunks()
+            .read(name, region, &mut Decode::Parallel, None)
     }
 
     /// [`ArchiveReader::read_region`] decoding serially with the
@@ -338,73 +258,15 @@ impl<S: ByteSource> ArchiveReader<S> {
         region: &Region,
         scratch: &mut Scratch<T>,
     ) -> Result<NdArray<T>> {
-        let chain = self.chain_indices::<T>(name)?;
-        let mut acc = self.read_region_member_with::<T>(chain[0], region, scratch)?;
-        for &idx in &chain[1..] {
-            let residual = self.read_region_member_with::<T>(idx, region, scratch)?;
-            qoz_temporal::accumulate_residual(&mut acc, &residual)?;
-        }
-        Ok(acc)
-    }
-
-    fn read_region_member_with<T: Scalar>(
-        &self,
-        var_idx: usize,
-        region: &Region,
-        scratch: &mut Scratch<T>,
-    ) -> Result<NdArray<T>> {
-        let (grid, hits) = self.plan_region(var_idx, region)?;
-        let codec = qoz_api::BackendRegistry::new().codec::<T>(self.toc.vars[var_idx].compressor);
-        let mut chunks = Vec::with_capacity(hits.len());
-        for &(k, _) in &hits {
-            let blob = self.fetch_chunk(var_idx, k)?;
-            let mut chunk = NdArray::zeros(Shape::d1(1));
-            codec.decompress_into(&blob, scratch, &mut chunk)?;
-            chunks.push(chunk);
-        }
-        let m = read_metrics();
-        m.chunks_decoded.add(chunks.len() as u64);
-        let slab = stitch(region, &grid, &hits, &chunks)?;
-        m.bytes_served.add((slab.len() * T::BYTES) as u64);
-        Ok(slab)
-    }
-
-    /// Bounds-check a query and map it onto the chunk grid: the grid,
-    /// and the `(chunk, overlap)` pairs the region intersects.
-    #[allow(clippy::type_complexity)]
-    fn plan_region(
-        &self,
-        var_idx: usize,
-        region: &Region,
-    ) -> Result<(Vec<Region>, Vec<(usize, Region)>)> {
-        let shape = self.toc.vars[var_idx].shape;
-        // Checked addition: a wrapped `origin + size` must not slip past
-        // the bounds check and quietly return a zero-filled slab.
-        if region.ndim() != shape.ndim()
-            || (0..region.ndim()).any(|d| {
-                region.origin()[d]
-                    .checked_add(region.size()[d])
-                    .map_or(true, |end| end > shape.dim(d))
-            })
-        {
-            return Err(ArchiveError::RegionOutOfBounds);
-        }
-        let grid = self.toc.vars[var_idx].chunk_regions();
-        let hits: Vec<(usize, Region)> = grid
-            .iter()
-            .enumerate()
-            .filter_map(|(k, cr)| cr.intersect(region).map(|overlap| (k, overlap)))
-            .collect();
-        Ok((grid, hits))
+        self.chunks()
+            .read(name, region, &mut Decode::Serial(scratch), None)
     }
 
     /// Decompress a whole variable (a [`ArchiveReader::read_region`]
     /// over the full shape — every chunk is fully covered, so each
     /// decodes in parallel and lands in the output without copies).
     pub fn read_full<T: Scalar>(&self, name: &str) -> Result<NdArray<T>> {
-        let var_idx = self.var_index::<T>(name)?;
-        let shape = self.toc.vars[var_idx].shape;
-        self.read_region(name, &Region::full(shape))
+        self.chunks().read_full(name)
     }
 
     /// Integrity fast path: fetch every chunk and check its checksum
@@ -418,22 +280,19 @@ impl<S: ByteSource> ArchiveReader<S> {
     /// bit-flips). A report with [`VerifyReport::is_clean`] `== false`
     /// is still `Ok`: failing to *verify* is not failing to *scan*.
     pub fn verify(&self) -> Result<VerifyReport> {
+        let chunks = self.chunks();
         let mut report = VerifyReport {
             vars: self.toc.vars.len(),
             chunks: 0,
             payload_bytes: 0,
             faults: Vec::new(),
         };
-        for v in 0..self.toc.vars.len() {
-            for k in 0..self.toc.vars[v].chunks.len() {
+        for var in &self.toc.vars {
+            for (k, entry) in var.chunks.iter().enumerate() {
                 report.chunks += 1;
-                report.payload_bytes += self.toc.vars[v].chunks[k].len;
-                if let Err(kind) = self.classify_chunk(v, k) {
-                    report.faults.push(ChunkFault {
-                        var: self.toc.vars[v].name.clone(),
-                        chunk: k,
-                        kind,
-                    });
+                report.payload_bytes += entry.len;
+                if let Err(e) = chunks.fetch(var, k) {
+                    report.faults.push(ChunkFault::new(var, k, &e));
                 }
             }
         }
@@ -462,93 +321,218 @@ impl<S: ByteSource> ArchiveReader<S> {
         region: &Region,
         scratch: &mut Scratch<T>,
     ) -> Result<(NdArray<T>, Vec<ChunkFault>)> {
-        let chain = self.chain_indices::<T>(name)?;
-        let (mut acc, mut all_faults) =
-            self.read_region_member_tolerant::<T>(chain[0], region, scratch)?;
-        for &idx in &chain[1..] {
-            let (residual, faults) = self.read_region_member_tolerant::<T>(idx, region, scratch)?;
-            all_faults.extend(faults);
-            qoz_temporal::accumulate_residual(&mut acc, &residual)?;
-        }
-        Ok((acc, all_faults))
-    }
-
-    fn read_region_member_tolerant<T: Scalar>(
-        &self,
-        var_idx: usize,
-        region: &Region,
-        scratch: &mut Scratch<T>,
-    ) -> Result<(NdArray<T>, Vec<ChunkFault>)> {
-        let (grid, hits) = self.plan_region(var_idx, region)?;
-        let codec = qoz_api::BackendRegistry::new().codec::<T>(self.toc.vars[var_idx].compressor);
-        let mut clean_hits = Vec::with_capacity(hits.len());
-        let mut chunks = Vec::with_capacity(hits.len());
         let mut faults = Vec::new();
-        for (k, overlap) in hits {
-            let kind = match self.classify_chunk(var_idx, k) {
-                Ok(blob) => {
-                    let mut decoded = NdArray::zeros(Shape::d1(1));
-                    match codec.decompress_into(&blob, scratch, &mut decoded) {
-                        Ok(()) if decoded.shape().dims() == grid[k].size() => {
-                            clean_hits.push((k, overlap));
-                            chunks.push(decoded);
-                            continue;
-                        }
-                        // Checksum passed but the stream won't decode
-                        // (or decodes to the wrong shape): payload
-                        // damage, not a missing tail.
-                        _ => FaultKind::BitFlip,
-                    }
-                }
-                Err(kind) => kind,
-            };
-            faults.push(ChunkFault {
-                var: self.toc.vars[var_idx].name.clone(),
-                chunk: k,
-                kind,
-            });
-        }
-        let m = read_metrics();
-        m.chunks_decoded.add(chunks.len() as u64);
-        m.tolerant_zero_fills.add(faults.len() as u64);
-        let slab = stitch(region, &grid, &clean_hits, &chunks)?;
-        m.bytes_served.add((slab.len() * T::BYTES) as u64);
+        let slab = self.chunks().read(
+            name,
+            region,
+            &mut Decode::Serial(scratch),
+            Some(&mut faults),
+        )?;
         Ok((slab, faults))
     }
 }
 
-/// Stitch decoded chunks into a dense array of the region's size.
-fn stitch<T: Scalar>(
-    region: &Region,
-    grid: &[Region],
-    hits: &[(usize, Region)],
-    chunks: &[NdArray<T>],
-) -> Result<NdArray<T>> {
-    let nd = region.ndim();
-    let mut out = NdArray::<T>::zeros(Shape::new(region.size()));
-    for (&(k, ref overlap), chunk) in hits.iter().zip(chunks) {
-        let chunk_region = &grid[k];
-        if chunk.shape().dims() != chunk_region.size() {
-            return Err(ArchiveError::Corrupt("chunk stream disagrees with index"));
+/// How a member read decodes the chunks it fetched.
+enum Decode<'s, T: Scalar> {
+    /// On `qoz_pario` workers, one per core; any failure fails the read.
+    Parallel,
+    /// One chunk at a time in the caller's arena.
+    Serial(&'s mut Scratch<T>),
+}
+
+/// A TOC and the payload its chunk entries index. Every read fetches
+/// chunks and walks temporal chains through one of these: an archive's
+/// own ([`ArchiveReader::chunks`]), or an appender's merged TOC, whose
+/// entries past the stored payload index its staged payload.
+pub(crate) struct Chunks<'a, S: ByteSource> {
+    pub(crate) reader: &'a ArchiveReader<S>,
+    pub(crate) toc: &'a Toc,
+    pub(crate) staged: SliceSource<'a>,
+}
+
+impl<'a, S: ByteSource> Chunks<'a, S> {
+    /// Fetch chunk `k` of `var` and verify its checksum. A byte range
+    /// the payload cannot produce fails with the read error, bytes that
+    /// hash wrong with [`ArchiveError::ChecksumMismatch`].
+    fn fetch(&self, var: &VarMeta, k: usize) -> Result<Vec<u8>> {
+        let m = read_metrics();
+        let entry = var.chunks[k];
+        m.chunk_fetches.inc();
+        let blob = match entry.offset.checked_sub(self.reader.payload_len()) {
+            None => self.reader.read_payload(entry.offset, entry.len as usize),
+            Some(at) => self.staged.read_at(at, entry.len as usize),
         }
-        // Overlap in chunk-local, then region-local coordinates.
-        let mut local_o = [0usize; qoz_tensor::MAX_NDIM];
-        let mut dest_o = [0usize; qoz_tensor::MAX_NDIM];
-        for d in 0..nd {
-            local_o[d] = overlap.origin()[d] - chunk_region.origin()[d];
-            dest_o[d] = overlap.origin()[d] - region.origin()[d];
+        .map_err(|e| {
+            m.faults_truncated.inc();
+            e
+        })?;
+        m.bytes_read.add(blob.len() as u64);
+        if fnv1a(&blob) != entry.checksum {
+            m.faults_bit_flip.inc();
+            return Err(ArchiveError::ChecksumMismatch {
+                var: var.name.clone(),
+                chunk: k,
+            });
         }
-        let dest = Region::new(&dest_o[..nd], overlap.size());
-        if overlap.size() == chunk_region.size() {
-            // Fully-covered chunk (the read_full case): insert
-            // directly, no intermediate copy.
-            out.insert_region(&dest, chunk);
-        } else {
-            let piece = chunk.extract_region(&Region::new(&local_o[..nd], overlap.size()));
-            out.insert_region(&dest, &piece);
-        }
+        Ok(blob)
     }
-    Ok(out)
+
+    /// The variable `name`, which must hold `T`s.
+    fn var<T: Scalar>(&self, name: &str) -> Result<&'a VarMeta> {
+        let var = self.toc.var(name)?;
+        if var.scalar_tag != T::TYPE_TAG {
+            return Err(ArchiveError::TypeMismatch {
+                stored: var.scalar_tag,
+                requested: T::TYPE_TAG,
+            });
+        }
+        Ok(var)
+    }
+
+    /// Read `region` of `name` through its temporal chain: the slab of
+    /// the chain's base (a keyframe or an ordinary variable), with each
+    /// delta member's residual added on in order. With `faults`,
+    /// damaged chunks are recorded there and leave their cells of their
+    /// member's slab zero instead of failing the read.
+    fn read<T: Scalar>(
+        &self,
+        name: &str,
+        region: &Region,
+        decode: &mut Decode<'_, T>,
+        mut faults: Option<&mut Vec<ChunkFault>>,
+    ) -> Result<NdArray<T>> {
+        let mut chain = vec![self.var::<T>(name)?];
+        while let TemporalKind::Delta { prev } = &chain[chain.len() - 1].temporal {
+            // The TOC decoder already enforces earlier-only predecessor
+            // references; the length guard keeps a hand-built TOC from
+            // looping us regardless.
+            if chain.len() > self.toc.vars.len() {
+                return Err(ArchiveError::Corrupt("temporal chain cycle"));
+            }
+            chain.push(self.var::<T>(prev)?);
+        }
+        let mut members = chain.into_iter().rev();
+        let base = members.next().expect("a chain holds its own variable");
+        let mut acc = self.member(base, region, decode, faults.as_deref_mut())?;
+        for var in members {
+            let residual = self.member(var, region, decode, faults.as_deref_mut())?;
+            qoz_temporal::accumulate_residual(&mut acc, &residual)?;
+        }
+        Ok(acc)
+    }
+
+    /// The whole of variable `name`, decoded in parallel.
+    pub(crate) fn read_full<T: Scalar>(&self, name: &str) -> Result<NdArray<T>> {
+        let shape = self.var::<T>(name)?.shape;
+        self.read(name, &Region::full(shape), &mut Decode::Parallel, None)
+    }
+
+    /// One chain member's slab of `region` (a delta member's is its
+    /// residual): fetch the chunks the region touches, decode them, and
+    /// stitch their overlaps into a dense array of the region's size.
+    fn member<T: Scalar>(
+        &self,
+        var: &VarMeta,
+        region: &Region,
+        decode: &mut Decode<'_, T>,
+        mut faults: Option<&mut Vec<ChunkFault>>,
+    ) -> Result<NdArray<T>> {
+        // Checked addition: a wrapped `origin + size` must not slip past
+        // the bounds check and quietly return a zero-filled slab.
+        if region.ndim() != var.shape.ndim()
+            || (0..region.ndim()).any(|d| {
+                region.origin()[d]
+                    .checked_add(region.size()[d])
+                    .map_or(true, |end| end > var.shape.dim(d))
+            })
+        {
+            return Err(ArchiveError::RegionOutOfBounds);
+        }
+        let m = read_metrics();
+        // A damaged chunk fails the read, unless `faults` takes it.
+        let mut damage = |k: usize, e: ArchiveError| match faults.as_deref_mut() {
+            None => Err(e),
+            Some(faults) => {
+                m.tolerant_zero_fills.inc();
+                faults.push(ChunkFault::new(var, k, &e));
+                Ok(())
+            }
+        };
+        let grid = var.chunk_regions();
+        let mut hits = Vec::new();
+        let mut blobs = Vec::new();
+        for (k, chunk_region) in grid.iter().enumerate() {
+            let Some(overlap) = chunk_region.intersect(region) else {
+                continue;
+            };
+            match self.fetch(var, k) {
+                Ok(blob) => {
+                    hits.push((k, overlap));
+                    blobs.push(blob);
+                }
+                Err(e) => damage(k, e)?,
+            }
+        }
+        let codec = qoz_api::BackendRegistry::new().codec::<T>(var.compressor);
+        let decoded: Vec<Result<NdArray<T>>> = match decode {
+            Decode::Parallel => {
+                let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+                qoz_pario::decompress_chunks(&*codec, &blobs, threads)?
+                    .into_iter()
+                    .map(Ok)
+                    .collect()
+            }
+            Decode::Serial(scratch) => blobs
+                .iter()
+                .map(|blob| {
+                    let mut chunk = NdArray::zeros(Shape::d1(1));
+                    codec.decompress_into(blob, scratch, &mut chunk)?;
+                    Ok(chunk)
+                })
+                .collect(),
+        };
+        let mut slab = NdArray::<T>::zeros(Shape::new(region.size()));
+        for ((k, overlap), chunk) in hits.into_iter().zip(decoded) {
+            match chunk.and_then(|chunk| stitch(&mut slab, region, &grid[k], &overlap, &chunk)) {
+                Ok(()) => m.chunks_decoded.inc(),
+                Err(e) => damage(k, e)?,
+            }
+        }
+        m.bytes_served.add((slab.len() * T::BYTES) as u64);
+        Ok(slab)
+    }
+}
+
+/// Copy the `overlap` of a decoded chunk covering `chunk_region` into
+/// `slab`, the dense array of `region`.
+fn stitch<T: Scalar>(
+    slab: &mut NdArray<T>,
+    region: &Region,
+    chunk_region: &Region,
+    overlap: &Region,
+    chunk: &NdArray<T>,
+) -> Result<()> {
+    if chunk.shape().dims() != chunk_region.size() {
+        return Err(ArchiveError::Corrupt("chunk stream disagrees with index"));
+    }
+    // Overlap in chunk-local, then region-local coordinates.
+    let nd = region.ndim();
+    let mut local_o = [0usize; qoz_tensor::MAX_NDIM];
+    let mut dest_o = [0usize; qoz_tensor::MAX_NDIM];
+    for d in 0..nd {
+        local_o[d] = overlap.origin()[d] - chunk_region.origin()[d];
+        dest_o[d] = overlap.origin()[d] - region.origin()[d];
+    }
+    let dest = Region::new(&dest_o[..nd], overlap.size());
+    if overlap.size() == chunk_region.size() {
+        // Fully-covered chunk (the read_full case): insert
+        // directly, no intermediate copy.
+        slab.insert_region(&dest, chunk);
+    } else {
+        let piece = chunk.extract_region(&Region::new(&local_o[..nd], overlap.size()));
+        slab.insert_region(&dest, &piece);
+    }
+    Ok(())
 }
 
 /// Convenience: list `(name, meta)` summaries of an archive's variables.
@@ -585,6 +569,7 @@ pub fn describe(toc: &Toc) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::snapshot_name;
     use crate::writer::ArchiveWriter;
     use qoz_codec::stream::ErrorBound;
 
@@ -832,6 +817,117 @@ mod tests {
         assert!(r
             .read_region_tolerant::<f32>("nope", &safe, &mut scratch)
             .is_err());
+    }
+
+    /// `rho` plus the chain `u@t0..t3`, a keyframe and three deltas of
+    /// a field drifting slowly in time, appended in two goes.
+    fn chained_archive() -> Vec<u8> {
+        let drift = |t: usize| {
+            NdArray::from_fn(Shape::d3(13, 11, 9), |i| {
+                (i[0] as f32 * 0.35).sin()
+                    + (i[1] as f32 * 0.2).cos() * i[2] as f32 * 0.05
+                    + t as f32 * 0.01
+            })
+        };
+        let c = qoz_sz3::Sz3::default();
+        let mut bytes = archive();
+        for steps in [0..2, 2..4] {
+            let mut app = crate::ArchiveAppender::from_bytes(&bytes)
+                .unwrap()
+                .with_chunk_side(4);
+            for t in steps {
+                let kind = app
+                    .add_snapshot_chained("u", t as u64, &drift(t), &c, ErrorBound::Abs(1e-3))
+                    .unwrap();
+                assert_eq!(kind == TemporalKind::Keyframe, t == 0, "u@t{t}: {kind:?}");
+            }
+            bytes = app.finish();
+        }
+        bytes
+    }
+
+    fn bits(a: &NdArray<f32>) -> Vec<u32> {
+        a.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn chained_reads_agree_on_every_path() {
+        let bytes = chained_archive();
+        let r = ArchiveReader::from_bytes(&bytes).unwrap();
+        let name = snapshot_name("u", 3);
+        let full: NdArray<f32> = r.read_full(&name).unwrap();
+        let mut scratch = Scratch::new();
+        for region in [
+            Region::new(&[0, 0, 0], &[13, 11, 9]),
+            Region::new(&[3, 2, 1], &[6, 5, 7]),
+            Region::new(&[12, 10, 8], &[1, 1, 1]),
+        ] {
+            let want = bits(&full.extract_region(&region));
+            let strict: NdArray<f32> = r.read_region(&name, &region).unwrap();
+            assert_eq!(bits(&strict), want, "read_region {region:?}");
+            let with = r.read_region_with(&name, &region, &mut scratch).unwrap();
+            assert_eq!(bits(&with), want, "read_region_with {region:?}");
+            let (tolerant, faults) = r
+                .read_region_tolerant(&name, &region, &mut scratch)
+                .unwrap();
+            assert_eq!(faults, vec![], "{region:?}");
+            assert_eq!(bits(&tolerant), want, "read_region_tolerant {region:?}");
+        }
+    }
+
+    #[test]
+    fn damaged_delta_chunk_fails_strict_and_reads_as_no_change_tolerant() {
+        let pristine = chained_archive();
+        let (member, chunk) = (snapshot_name("u", 2), 17);
+        let mut bytes = pristine.clone();
+        {
+            let r = ArchiveReader::from_bytes(&pristine).unwrap();
+            let payload_start = pristine.len() as u64 - r.payload_len();
+            let entry = r.toc().var(&member).unwrap().chunks[chunk];
+            bytes[(payload_start + entry.offset + entry.len / 2) as usize] ^= 0x10;
+        }
+        let r = ArchiveReader::from_bytes(&bytes).unwrap();
+        let full = Region::new(&[0, 0, 0], &[13, 11, 9]);
+        let mut scratch = Scratch::new();
+        let want = ArchiveError::ChecksumMismatch {
+            var: member.clone(),
+            chunk,
+        };
+        // The damage fails strict reads of the member and of every
+        // later member whose chain runs through it.
+        for name in [snapshot_name("u", 2), snapshot_name("u", 3)] {
+            let strict = r.read_region::<f32>(&name, &full).unwrap_err();
+            assert_eq!(strict, want, "read_region {name}");
+            let with = r
+                .read_region_with::<f32>(&name, &full, &mut scratch)
+                .unwrap_err();
+            assert_eq!(with, want, "read_region_with {name}");
+        }
+
+        let (slab, faults) = r
+            .read_region_tolerant::<f32>(&member, &full, &mut scratch)
+            .unwrap();
+        assert_eq!(
+            faults,
+            vec![ChunkFault {
+                var: member.clone(),
+                chunk,
+                kind: FaultKind::BitFlip,
+            }]
+        );
+        // The damaged chunk's residual reads as zero, so its cells hold
+        // the predecessor's reconstruction; every other cell is the
+        // strict read of the undamaged archive.
+        let prev: NdArray<f32> = r.read_full(&snapshot_name("u", 1)).unwrap();
+        let strict: NdArray<f32> = ArchiveReader::from_bytes(&pristine)
+            .unwrap()
+            .read_full(&member)
+            .unwrap();
+        let damaged = &Region::tile(Shape::d3(13, 11, 9), 4)[chunk];
+        let mut expect = strict.clone();
+        expect.insert_region(damaged, &prev.extract_region(damaged));
+        assert_ne!(bits(&expect), bits(&strict), "the delta changes the chunk");
+        assert_eq!(bits(&slab), bits(&expect));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Building QZAR archives.
 
-use crate::format::{fnv1a, ChunkEntry, TemporalKind, Toc, VarMeta, MAGIC};
+use crate::format::{fnv1a, sink_error, write_head, ChunkEntry, TemporalKind, Toc, VarMeta};
 use crate::{ArchiveError, Result};
 use qoz_codec::stream::{Compressor, ErrorBound};
-use qoz_codec::ByteWriter;
 use qoz_tensor::{NdArray, Scalar};
 
 /// Default chunk grid side (elements). 32³ f32 chunks are 128 KiB raw —
@@ -15,16 +14,15 @@ pub const DEFAULT_CHUNK_SIDE: usize = 32;
 ///
 /// Each variable is split into a `Region::tile` chunk grid; chunks are
 /// compressed *independently* (so readers can fetch any subset) and in
-/// parallel via `qoz_pario`'s chunk-claiming workers. A relative error
-/// bound is resolved against the **whole** variable once, so every
-/// chunk honors the same absolute bound the monolithic stream would —
-/// chunking never changes the error contract.
+/// parallel via `qoz_pario`'s chunk-claiming workers, one per core. A
+/// relative error bound is resolved against the **whole** variable
+/// once, so every chunk honors the same absolute bound the monolithic
+/// stream would — chunking never changes the error contract.
 ///
 /// [`finish`]: ArchiveWriter::finish
 #[derive(Debug)]
 pub struct ArchiveWriter {
     chunk_side: usize,
-    threads: usize,
     toc: Toc,
     payload: Vec<u8>,
 }
@@ -33,9 +31,6 @@ impl Default for ArchiveWriter {
     fn default() -> Self {
         ArchiveWriter {
             chunk_side: DEFAULT_CHUNK_SIDE,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             toc: Toc::default(),
             payload: Vec::new(),
         }
@@ -43,7 +38,7 @@ impl Default for ArchiveWriter {
 }
 
 impl ArchiveWriter {
-    /// Create a writer with the default chunk side and thread count.
+    /// Create a writer with the default chunk side.
     pub fn new() -> Self {
         Self::default()
     }
@@ -55,12 +50,6 @@ impl ArchiveWriter {
     pub fn with_chunk_side(mut self, side: usize) -> Self {
         assert!(side > 0, "chunk side must be positive");
         self.chunk_side = side;
-        self
-    }
-
-    /// Override the number of compression worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -99,25 +88,17 @@ impl ArchiveWriter {
         let abs_eb = bound.absolute(data);
         let regions = qoz_tensor::Region::tile(data.shape(), self.chunk_side);
         let chunks: Vec<NdArray<T>> = regions.iter().map(|r| data.extract_region(r)).collect();
-        // Chunk blobs stream straight into the payload in chunk order;
-        // the returned lengths delimit them for the index.
-        let mut offset = self.payload.len() as u64;
-        let lens = qoz_pario::compress_chunks_into(
-            compressor,
-            &chunks,
-            ErrorBound::Abs(abs_eb),
-            self.threads,
-            &mut self.payload,
-        )?;
-        let mut entries = Vec::with_capacity(lens.len());
-        for len in lens {
-            let blob = &self.payload[offset as usize..(offset + len) as usize];
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let blobs =
+            qoz_pario::compress_chunks(compressor, &chunks, ErrorBound::Abs(abs_eb), threads);
+        let mut entries = Vec::with_capacity(blobs.len());
+        for blob in blobs {
             entries.push(ChunkEntry {
-                offset,
-                len,
-                checksum: fnv1a(blob),
+                offset: self.payload.len() as u64,
+                len: blob.len() as u64,
+                checksum: fnv1a(&blob),
             });
-            offset += len;
+            self.payload.extend_from_slice(&blob);
         }
         self.toc.vars.push(VarMeta {
             name: name.to_string(),
@@ -162,48 +143,50 @@ impl ArchiveWriter {
     /// checksum, payload — without materializing one contiguous buffer.
     /// Returns the bytes written.
     pub fn write_into(&self, sink: &mut dyn std::io::Write) -> Result<u64> {
-        self.write_into_with_toc(&self.toc.encode(), sink)
-    }
-
-    fn write_into_with_toc(&self, toc_bytes: &[u8], sink: &mut dyn std::io::Write) -> Result<u64> {
-        let io_err = |e: std::io::Error| ArchiveError::Io(format!("archive sink: {e}"));
-        let mut sb = ByteWriter::with_capacity(crate::format::SUPERBLOCK_LEN);
-        sb.put_bytes(&MAGIC);
-        sb.put_u8(self.toc.version());
-        sb.put_u8(0); // flags, reserved
-        sb.put_u64(toc_bytes.len() as u64);
-        let sb = sb.finish();
-        sink.write_all(&sb).map_err(io_err)?;
-        sink.write_all(toc_bytes).map_err(io_err)?;
-        sink.write_all(&fnv1a(toc_bytes).to_le_bytes())
-            .map_err(io_err)?;
-        sink.write_all(&self.payload).map_err(io_err)?;
-        Ok((sb.len() + toc_bytes.len() + 8 + self.payload.len()) as u64)
+        let head = write_head(&self.toc, sink)?;
+        sink.write_all(&self.payload).map_err(sink_error)?;
+        Ok(head + self.payload.len() as u64)
     }
 
     /// Serialize the archive: superblock, TOC + checksum, payload.
     pub fn finish(self) -> Vec<u8> {
-        let toc_bytes = self.toc.encode();
-        let mut out = Vec::with_capacity(
-            crate::format::SUPERBLOCK_LEN + toc_bytes.len() + 8 + self.payload.len(),
-        );
-        self.write_into_with_toc(&toc_bytes, &mut out)
+        let mut out = Vec::new();
+        self.write_into(&mut out)
             .expect("writing to a Vec cannot fail");
         out
     }
 
-    /// Stream the archive to `path`; returns bytes written. Unlike
-    /// [`ArchiveWriter::finish`] this never holds a second full copy of
-    /// the archive in memory.
+    /// Stream the archive to `path` via a temp file + atomic rename;
+    /// returns bytes written. Unlike [`ArchiveWriter::finish`] this
+    /// never holds a second full copy of the archive in memory.
     pub fn write_to(self, path: &str) -> Result<u64> {
-        let file = std::fs::File::create(path)
-            .map_err(|e| ArchiveError::Io(format!("cannot write {path}: {e}")))?;
-        let mut sink = std::io::BufWriter::new(file);
-        let written = self.write_into(&mut sink)?;
-        std::io::Write::flush(&mut sink)
-            .map_err(|e| ArchiveError::Io(format!("cannot write {path}: {e}")))?;
-        Ok(written)
+        write_atomically(path, |sink| self.write_into(sink))
     }
+}
+
+/// Stream `write`'s output into a temp file next to `path`, then rename
+/// it over `path`: a write that fails or is killed part-way never leaves
+/// a torn container at `path`, and `path` may be the archive an
+/// appender is still reading its old payload from. Returns what `write`
+/// returned.
+pub(crate) fn write_atomically(
+    path: &str,
+    write: impl FnOnce(&mut dyn std::io::Write) -> Result<u64>,
+) -> Result<u64> {
+    let tmp = format!("{path}.{}.qztmp", std::process::id());
+    let io_err = |e: std::io::Error| ArchiveError::Io(format!("cannot write {path}: {e}"));
+    let written = (|| {
+        let file = std::fs::File::create(&tmp).map_err(io_err)?;
+        let mut sink = std::io::BufWriter::new(file);
+        let written = write(&mut sink)?;
+        std::io::Write::flush(&mut sink).map_err(io_err)?;
+        std::fs::rename(&tmp, path).map_err(io_err)?;
+        Ok(written)
+    })();
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 #[cfg(test)]
@@ -253,19 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_bytes() {
-        let data = field();
-        let c = qoz_sz3::Sz3::default();
-        let mut a = ArchiveWriter::new().with_chunk_side(4).with_threads(1);
-        a.add_variable("v", &data, &c, ErrorBound::Abs(1e-3))
-            .unwrap();
-        let mut b = ArchiveWriter::new().with_chunk_side(4).with_threads(7);
-        b.add_variable("v", &data, &c, ErrorBound::Abs(1e-3))
-            .unwrap();
-        assert_eq!(a.finish(), b.finish(), "archives must be deterministic");
-    }
-
-    #[test]
     fn write_into_matches_finish_bytes() {
         let data = field();
         let c = qoz_sz3::Sz3::default();
@@ -276,6 +246,40 @@ mod tests {
         let written = a.write_into(&mut streamed).unwrap();
         assert_eq!(written, streamed.len() as u64);
         assert_eq!(streamed, a.finish(), "streaming must not change bytes");
+    }
+
+    #[test]
+    fn write_to_replaces_the_target_whole_or_not_at_all() {
+        let path = std::env::temp_dir()
+            .join(format!("qoz_writer_atomic_{}.qza", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let tmp = format!("{path}.{}.qztmp", std::process::id());
+        std::fs::write(&path, b"old archive").unwrap();
+        // A write that fails part-way leaves the target as it was and
+        // no temp file behind.
+        let failed = write_atomically(&path, |sink| {
+            sink.write_all(b"half").map_err(sink_error)?;
+            Err(ArchiveError::Truncated)
+        });
+        assert_eq!(failed, Err(ArchiveError::Truncated));
+        assert_eq!(std::fs::read(&path).unwrap(), b"old archive");
+        assert!(!std::path::Path::new(&tmp).exists());
+
+        let mut w = ArchiveWriter::new().with_chunk_side(4);
+        w.add_variable(
+            "v",
+            &field(),
+            &qoz_sz3::Sz3::default(),
+            ErrorBound::Abs(1e-3),
+        )
+        .unwrap();
+        let mut want = Vec::new();
+        w.write_into(&mut want).unwrap();
+        assert_eq!(w.write_to(&path).unwrap(), want.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert!(!std::path::Path::new(&tmp).exists());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -506,8 +506,8 @@ pub fn run(cmd: Command) -> Result<Vec<String>, CliError> {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
             let stats = server.stats();
-            // Same Prometheus-style dump the standalone daemon binary
-            // prints at drain, for post-mortem scraping.
+            // The Prometheus-style dump at drain, for post-mortem
+            // scraping.
             let exposition = server.metrics_text();
             let persisted = server
                 .shutdown()

@@ -24,7 +24,7 @@
 use crate::config::level_error_bounds;
 use qoz_codec::{claim_each, Claims, HelperLease, LinearQuantizer, Scratch};
 use qoz_metrics::{autocorr, ssim, QualityMetric};
-use qoz_predict::{base_point_count, traverse_level, LevelConfig};
+use qoz_predict::{traverse_level, LevelConfig};
 use qoz_sz3::{compress_with_spec_into, InterpSpec};
 use qoz_tensor::{NdArray, Scalar};
 
@@ -423,19 +423,12 @@ pub fn autotune_params<T: Scalar>(
     trials.walk(candidates, &grid, lease.count()).best
 }
 
-/// Make blocks "anchored" for tuning: the engine treats their base grid
-/// as lossless anchors, so nothing extra is needed; this helper exists to
-/// document the invariant and is used by tests.
-pub fn block_anchor_check<T: Scalar>(block: &NdArray<T>, levels: u32) -> usize {
-    base_point_count(block.shape(), 1usize << levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::QozConfig;
     use qoz_datagen::{Dataset, SizeClass};
-    use qoz_predict::InterpKind;
+    use qoz_predict::{base_point_count, InterpKind};
     use qoz_tensor::{sample_blocks, SamplePlan, Shape};
 
     fn smooth_blocks() -> Vec<NdArray<f64>> {
@@ -561,8 +554,7 @@ mod tests {
 
     #[test]
     fn block_anchor_counts() {
-        let b = NdArray::<f32>::zeros(Shape::d2(17, 17));
-        assert_eq!(block_anchor_check(&b, 4), 4);
+        assert_eq!(base_point_count(Shape::d2(17, 17), 1 << 4), 4);
     }
 
     /// What `Qoz::plan` hands the tuner for `data` at `Rel(1e-3)`.

@@ -25,5 +25,5 @@ pub mod parallel;
 pub mod pool;
 
 pub use iomodel::{IoModel, IoTiming};
-pub use parallel::{chunk_along_dim0, compress_chunks, compress_chunks_into, decompress_chunks};
+pub use parallel::{chunk_along_dim0, compress_chunks, decompress_chunks};
 pub use pool::{BoundedQueue, WorkerPool};

@@ -69,37 +69,6 @@ where
     })
 }
 
-/// Compress every chunk with `threads` workers and stream the blobs, in
-/// chunk order, into `sink`; returns per-chunk byte counts.
-///
-/// This is the chunked-dump path of the streaming API: callers that
-/// persist blobs back-to-back (the archive writer's payload, a per-rank
-/// dump file) take the per-chunk sizes for their index instead of
-/// holding a `Vec<Vec<u8>>` of their own. The parallel stage still
-/// materializes every blob before the ordered write-out begins (chunk
-/// order must be preserved), so peak memory during compression is
-/// unchanged — what the sink variant removes is the *caller's* second
-/// copy of the concatenated payload.
-pub fn compress_chunks_into<T, C>(
-    compressor: &C,
-    chunks: &[NdArray<T>],
-    bound: ErrorBound,
-    threads: usize,
-    sink: &mut dyn std::io::Write,
-) -> Result<Vec<u64>>
-where
-    T: Scalar,
-    C: Compressor<T> + ?Sized,
-{
-    let blobs = compress_chunks(compressor, chunks, bound, threads);
-    let mut lens = Vec::with_capacity(blobs.len());
-    for blob in blobs {
-        sink.write_all(&blob)?;
-        lens.push(blob.len() as u64);
-    }
-    Ok(lens)
-}
-
 /// Decompress every blob with `threads` workers; returns arrays in blob
 /// order, or the error of the first failing blob.
 pub fn decompress_chunks<T, C>(
@@ -199,16 +168,6 @@ mod tests {
                 );
             }
             assert!(d.max_abs_diff(&reassemble_dim0(&ser_recon)) <= 1e-3);
-
-            // The streaming variant emits the same bytes, concatenated,
-            // and reports the split points.
-            let mut sink = Vec::new();
-            let lens = compress_chunks_into(&c, &chunks, bound, 4, &mut sink).unwrap();
-            assert_eq!(sink, ser.concat());
-            assert_eq!(
-                lens,
-                ser.iter().map(|b| b.len() as u64).collect::<Vec<u64>>()
-            );
         }
     }
 

@@ -1,4 +1,4 @@
-//! qoz-serve: a fault-tolerant compression daemon.
+//! qoz-serve: a fault-tolerant compression daemon, run as `qoz serve`.
 //!
 //! Long-running HPC workflows want compression as a *service*: a warm
 //! process that keeps tuned plans and scratch arenas alive across
@@ -47,9 +47,9 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-/// Cooperative SIGINT/SIGTERM handling for daemon front-ends (the
-/// `qoz-serve` binary and `qoz serve`): signals latch a flag that a
-/// foreground loop polls to start a graceful drain.
+/// Cooperative SIGINT/SIGTERM handling for the daemon's front end,
+/// `qoz serve`: signals latch a flag that a foreground loop polls to
+/// start a graceful drain.
 ///
 /// Raw `signal(2)` registration: the workspace builds without a libc
 /// crate, and the two signals we care about need nothing more than a

@@ -7,8 +7,8 @@
 //!
 //! * **Instruments** — [`Counter`], [`Gauge`], and fixed-bucket
 //!   [`Histogram`]s. All values are `u64` (latencies in nanoseconds,
-//!   sizes in bytes) so snapshots serialize as varints and the text
-//!   exposition round-trips exactly — no floats, no rounding drift.
+//!   sizes in bytes) so snapshots serialize as varints and render
+//!   exactly — no floats, no rounding drift.
 //! * **Registries** — a [`Registry`] maps `(name, labels)` to shared
 //!   instrument handles. Registration takes a lock; the hot path holds
 //!   an `Arc` and only touches atomics. [`global()`] is the process-wide
@@ -22,8 +22,8 @@
 //! A [`Snapshot`] is a point-in-time copy of a registry. It has a
 //! varint wire encoding (carried inside the daemon's extended `Stats`
 //! response) and a Prometheus-style text exposition
-//! ([`Snapshot::render_text`] / [`Snapshot::parse_text`]) with stable
-//! ordering, label escaping, and cumulative histogram buckets.
+//! ([`Snapshot::render_text`]) with stable ordering, label escaping,
+//! and cumulative histogram buckets.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -458,7 +458,7 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// Why a snapshot failed to decode or parse.
+/// Why a snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotError(pub String);
 
@@ -680,15 +680,6 @@ impl Snapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Sum of every counter series in the family `name`.
-    pub fn counter_sum(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
     /// The histogram for `(name, labels)`, if present.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
         let key = MetricKey::new(name, labels);
@@ -755,134 +746,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Parse text produced by [`Snapshot::render_text`] back into a
-    /// snapshot (cumulative buckets are differenced back to raw).
-    pub fn parse_text(text: &str) -> Result<Snapshot, SnapshotError> {
-        let mut types: BTreeMap<String, String> = BTreeMap::new();
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        // (family, labels) -> accumulating histogram parts
-        let mut hists: BTreeMap<MetricKey, HistParts> = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().ok_or_else(|| err("TYPE line missing name"))?;
-                let kind = it.next().ok_or_else(|| err("TYPE line missing kind"))?;
-                types.insert(name.to_string(), kind.to_string());
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let (name, labels, value) = parse_sample(line)?;
-            // Histogram component names shadow their family's TYPE line.
-            let hist_family = ["_bucket", "_sum", "_count"].iter().find_map(|suf| {
-                let fam = name.strip_suffix(suf)?;
-                (types.get(fam).map(String::as_str) == Some("histogram"))
-                    .then(|| (fam.to_string(), *suf))
-            });
-            if let Some((family, suffix)) = hist_family {
-                let mut labels = labels;
-                let mut le = None;
-                if suffix == "_bucket" {
-                    let idx = labels
-                        .iter()
-                        .position(|(k, _)| k == "le")
-                        .ok_or_else(|| err("bucket sample missing le"))?;
-                    le = Some(labels.remove(idx).1);
-                }
-                labels.sort();
-                let entry = hists
-                    .entry(MetricKey {
-                        name: family,
-                        labels,
-                    })
-                    .or_default();
-                match suffix {
-                    "_bucket" => entry.buckets.push((le.expect("le extracted above"), value)),
-                    "_sum" => entry.sum = value,
-                    _ => entry.count = value,
-                }
-                continue;
-            }
-            let key = MetricKey {
-                name: name.clone(),
-                labels: {
-                    let mut l = labels;
-                    l.sort();
-                    l
-                },
-            };
-            match types.get(&name).map(String::as_str) {
-                Some("counter") => counters.push((key, value)),
-                Some("gauge") => gauges.push((key, value)),
-                Some(other) => return Err(SnapshotError(format!("unknown type {other}"))),
-                None => return Err(SnapshotError(format!("sample {name} before its TYPE"))),
-            }
-        }
-        let mut histograms = Vec::new();
-        for (key, parts) in hists {
-            histograms.push((key, parts.finish()?));
-        }
-        counters.sort();
-        gauges.sort();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Snapshot {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-}
-
-#[derive(Default)]
-struct HistParts {
-    buckets: Vec<(String, u64)>, // (le, cumulative)
-    sum: u64,
-    count: u64,
-}
-
-impl HistParts {
-    fn finish(self) -> Result<HistogramSnapshot, SnapshotError> {
-        let mut bounds = Vec::new();
-        let mut raw = Vec::new();
-        let mut prev = 0u64;
-        let n = self.buckets.len();
-        if n == 0 {
-            return Err(err("histogram with no buckets"));
-        }
-        for (i, (le, cum)) in self.buckets.iter().enumerate() {
-            if *cum < prev {
-                return Err(err("histogram buckets not cumulative"));
-            }
-            raw.push(cum - prev);
-            prev = *cum;
-            if le == "+Inf" {
-                if i + 1 != n {
-                    return Err(err("+Inf bucket not last"));
-                }
-            } else {
-                bounds.push(le.parse::<u64>().map_err(|_| err("non-integer le"))?);
-            }
-        }
-        if bounds.len() + 1 != raw.len() {
-            return Err(err("histogram missing +Inf bucket"));
-        }
-        if prev != self.count {
-            return Err(err("histogram count disagrees with +Inf bucket"));
-        }
-        Ok(HistogramSnapshot {
-            bounds,
-            buckets: raw,
-            sum: self.sum,
-            count: self.count,
-        })
-    }
 }
 
 fn escape_label(v: &str) -> String {
@@ -896,24 +759,6 @@ fn escape_label(v: &str) -> String {
         }
     }
     out
-}
-
-fn unescape_label(v: &str) -> Result<String, SnapshotError> {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('n') => out.push('\n'),
-            _ => return Err(err("bad escape in label value")),
-        }
-    }
-    Ok(out)
 }
 
 fn render_sample(
@@ -951,51 +796,6 @@ fn render_sample(
     out.push(' ');
     out.push_str(&value.to_string());
     out.push('\n');
-}
-
-/// Parse one sample line: `name{k="v",...} value` or `name value`.
-#[allow(clippy::type_complexity)]
-fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, u64), SnapshotError> {
-    let (head, value) = line
-        .rsplit_once(' ')
-        .ok_or_else(|| err("sample line missing value"))?;
-    let value = value
-        .parse::<u64>()
-        .map_err(|_| err("non-integer sample value"))?;
-    if let Some(brace) = head.find('{') {
-        let name = head[..brace].to_string();
-        let body = head[brace + 1..]
-            .strip_suffix('}')
-            .ok_or_else(|| err("unterminated label set"))?;
-        let mut labels = Vec::new();
-        let mut rest = body;
-        while !rest.is_empty() {
-            let eq = rest.find("=\"").ok_or_else(|| err("label missing ="))?;
-            let key = rest[..eq].to_string();
-            rest = &rest[eq + 2..];
-            // Find the closing quote, skipping escaped characters.
-            let mut end = None;
-            let mut idx = 0;
-            let bytes = rest.as_bytes();
-            while idx < bytes.len() {
-                match bytes[idx] {
-                    b'\\' => idx += 2,
-                    b'"' => {
-                        end = Some(idx);
-                        break;
-                    }
-                    _ => idx += 1,
-                }
-            }
-            let end = end.ok_or_else(|| err("unterminated label value"))?;
-            labels.push((key, unescape_label(&rest[..end])?));
-            rest = &rest[end + 1..];
-            rest = rest.strip_prefix(',').unwrap_or(rest);
-        }
-        Ok((name, labels, value))
-    } else {
-        Ok((head.to_string(), Vec::new(), value))
-    }
 }
 
 #[cfg(test)]
@@ -1109,13 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trips() {
-        let snap = populated_snapshot();
-        let parsed = Snapshot::parse_text(&snap.render_text()).expect("parses");
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
     fn wire_round_trips() {
         let snap = populated_snapshot();
         let decoded = Snapshot::decode(&snap.encode()).expect("decodes");
@@ -1139,21 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_malformed_text() {
-        assert!(Snapshot::parse_text("no_type_line 4\n").is_err());
-        assert!(Snapshot::parse_text("# TYPE x counter\nx notanumber\n").is_err());
-        // Non-cumulative buckets are rejected.
-        let bad = concat!(
-            "# TYPE h histogram\n",
-            "h_bucket{le=\"10\"} 5\n",
-            "h_bucket{le=\"+Inf\"} 3\n",
-            "h_sum 1\n",
-            "h_count 3\n",
-        );
-        assert!(Snapshot::parse_text(bad).is_err());
-    }
-
-    #[test]
     fn merge_and_lookup_helpers() {
         let a = Registry::new();
         a.counter("x_total", &[("k", "1")]).add(2);
@@ -1163,7 +941,6 @@ mod tests {
         snap.merge(&b.snapshot());
         assert_eq!(snap.counter("x_total", &[("k", "1")]), Some(2));
         assert_eq!(snap.counter("y_total", &[]), Some(5));
-        assert_eq!(snap.counter_sum("x_total"), 2);
         assert_eq!(snap.counter("absent", &[]), None);
     }
 

@@ -308,3 +308,74 @@ fn temporal_delta_members_are_byte_identical_to_seed() {
     }
     assert_eq!(got, expect, "delta members changed: got {got:x?}");
 }
+
+/// A QZAR container built the way qozbench's `region-reads` builds its
+/// archive: a QoZ `Rel(1e-3)` variable through `ArchiveWriter`, then a
+/// chained `time_series_advect` series through `ArchiveAppender`. Delta
+/// members hold residuals against the appender's rebuild of their
+/// predecessor, so the pin covers that rebuild as well as the chunk
+/// blobs, TOC and container layout: snapshots 0–2 go in one append, so
+/// snapshot 2's predecessor is a staged delta, and snapshot 3 in a
+/// second, over a stored chain.
+#[test]
+fn chained_archive_container_is_byte_identical_to_seed() {
+    use qoz_suite::api::Session;
+    use qoz_suite::archive::{
+        snapshot_name, ArchiveAppender, ArchiveReader, ArchiveWriter, TemporalKind,
+    };
+    use qoz_suite::tensor::{NdArray, Shape};
+
+    let bound = ErrorBound::Rel(1e-3);
+    let codec = Session::builder()
+        .bound(bound)
+        .build()
+        .unwrap()
+        .codec::<f32>();
+    let mut w = ArchiveWriter::new().with_chunk_side(16);
+    let v = Dataset::Miranda.generate(SizeClass::Tiny, 0);
+    w.add_variable("v", &v, &*codec, bound).unwrap();
+    let mut bytes = w.finish();
+
+    let snap = Shape::d3(16, 20, 20);
+    let series = qoz_suite::datagen::time_series_advect(Shape::new(&[4, 16, 20, 20]), 0x5EED);
+    let snapshots: Vec<NdArray<f32>> = series
+        .as_slice()
+        .chunks_exact(snap.len())
+        .map(|s| NdArray::from_vec(snap, s.to_vec()))
+        .collect();
+    let mut kinds = Vec::new();
+    for steps in [0..3, 3..4] {
+        let mut app = ArchiveAppender::from_bytes(&bytes)
+            .unwrap()
+            .with_chunk_side(16);
+        for t in steps {
+            let kind = app.add_snapshot_chained("ts", t as u64, &snapshots[t], &*codec, bound);
+            kinds.push(kind.unwrap());
+        }
+        bytes = app.finish();
+    }
+    let delta = |t: u64| TemporalKind::Delta {
+        prev: snapshot_name("ts", t),
+    };
+    assert_eq!(
+        kinds,
+        [TemporalKind::Keyframe, delta(0), delta(1), delta(2)]
+    );
+
+    // Every member must still decode within its bound.
+    let r = ArchiveReader::from_bytes(&bytes).unwrap();
+    let got: NdArray<f32> = r.read_full("v").unwrap();
+    assert!(v.max_abs_diff(&got) <= bound.absolute(&v) * (1.0 + 1e-9));
+    for (t, orig) in snapshots.iter().enumerate() {
+        let got: NdArray<f32> = r.read_full(&snapshot_name("ts", t as u64)).unwrap();
+        let abs = bound.absolute(orig);
+        assert!(orig.max_abs_diff(&got) <= abs * (1.0 + 1e-9), "ts@t{t}");
+    }
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (42566, 0xe11ccef47b2cec13),
+        "QZAR container changed: got ({}, {:#x})",
+        bytes.len(),
+        fnv1a(&bytes)
+    );
+}
