@@ -243,12 +243,12 @@ impl<S: ByteSource> ArchiveAppender<S> {
         out
     }
 
-    /// Stream the grown archive to `path` via a temp file + atomic
-    /// rename; returns bytes written. `path` may be the very archive
-    /// being appended to — the old payload is still being read from it
-    /// while the temp file is written, and the rename swaps the grown
-    /// archive in whole, so a crash mid-append never leaves a torn
-    /// container behind.
+    /// Stream the grown archive to `path` through [`write_atomically`];
+    /// returns bytes written. `path` may be the very archive being
+    /// appended to — the old payload is still being read from it while
+    /// the temp file is written, and the rename swaps the grown archive
+    /// in whole, so a crash mid-append never leaves a torn container
+    /// behind.
     pub fn write_to(self, path: &str) -> Result<u64> {
         write_atomically(path, |sink| self.write_into(sink))
     }

@@ -31,10 +31,11 @@
 //!   counts bytes fetched, making the I/O saving of partial reads
 //!   observable.
 //!
-//! Both writers emit the same container head, and both `write_to`s
-//! write a temp file and rename it over the target, so a write that
-//! fails or is killed part-way never leaves a torn archive at the
-//! target path.
+//! Both writers emit the same container head, and both `write_to`s go
+//! through [`write_atomically`]: a temp file synced and renamed over the
+//! target, so a write that fails or is killed part-way never leaves a
+//! torn archive at the target path. The CLI and the daemon write their
+//! outputs and plan files through it too.
 //!
 //! ```
 //! use qoz_api::{BackendId, BackendRegistry};
@@ -73,7 +74,7 @@ pub use format::{
 };
 pub use reader::{ArchiveReader, ChunkFault, FaultKind, VerifyReport};
 pub use source::{ByteSource, FileSource, SliceSource};
-pub use writer::ArchiveWriter;
+pub use writer::{write_atomically, ArchiveWriter};
 
 use qoz_codec::CodecError;
 
@@ -167,6 +168,12 @@ impl std::error::Error for ArchiveError {}
 impl From<CodecError> for ArchiveError {
     fn from(e: CodecError) -> Self {
         ArchiveError::Codec(e)
+    }
+}
+
+impl From<std::io::Error> for ArchiveError {
+    fn from(e: std::io::Error) -> Self {
+        ArchiveError::Io(e.to_string())
     }
 }
 

@@ -4,6 +4,9 @@ use crate::format::{fnv1a, sink_error, write_head, ChunkEntry, TemporalKind, Toc
 use crate::{ArchiveError, Result};
 use qoz_codec::stream::{Compressor, ErrorBound};
 use qoz_tensor::{NdArray, Scalar};
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 /// Default chunk grid side (elements). 32³ f32 chunks are 128 KiB raw —
 /// small enough that a region query touches little excess data, large
@@ -142,7 +145,7 @@ impl ArchiveWriter {
     /// Serialize the archive into any byte sink — superblock, TOC +
     /// checksum, payload — without materializing one contiguous buffer.
     /// Returns the bytes written.
-    pub fn write_into(&self, sink: &mut dyn std::io::Write) -> Result<u64> {
+    pub fn write_into(&self, sink: &mut dyn Write) -> Result<u64> {
         let head = write_head(&self.toc, sink)?;
         sink.write_all(&self.payload).map_err(sink_error)?;
         Ok(head + self.payload.len() as u64)
@@ -156,7 +159,7 @@ impl ArchiveWriter {
         out
     }
 
-    /// Stream the archive to `path` via a temp file + atomic rename;
+    /// Stream the archive to `path` through [`write_atomically`];
     /// returns bytes written. Unlike [`ArchiveWriter::finish`] this
     /// never holds a second full copy of the archive in memory.
     pub fn write_to(self, path: &str) -> Result<u64> {
@@ -164,29 +167,45 @@ impl ArchiveWriter {
     }
 }
 
-/// Stream `write`'s output into a temp file next to `path`, then rename
-/// it over `path`: a write that fails or is killed part-way never leaves
-/// a torn container at `path`, and `path` may be the archive an
-/// appender is still reading its old payload from. Returns what `write`
-/// returned.
-pub(crate) fn write_atomically(
-    path: &str,
-    write: impl FnOnce(&mut dyn std::io::Write) -> Result<u64>,
-) -> Result<u64> {
-    let tmp = format!("{path}.{}.qztmp", std::process::id());
-    let io_err = |e: std::io::Error| ArchiveError::Io(format!("cannot write {path}: {e}"));
-    let written = (|| {
-        let file = std::fs::File::create(&tmp).map_err(io_err)?;
-        let mut sink = std::io::BufWriter::new(file);
-        let written = write(&mut sink)?;
-        std::io::Write::flush(&mut sink).map_err(io_err)?;
+/// Stream `write`'s output into a temp file next to `path` and rename it
+/// over `path`, durably. A write that fails or is killed part-way never
+/// leaves a torn file at `path`, and `path` may be a file the writer is
+/// still reading from (an appender's old payload).
+///
+/// The temp name carries the process id, so two processes writing the
+/// same target never share a temp file. The file is synced before the
+/// rename and its directory after it: once this returns, a crash leaves
+/// the new file whole. On failure the temp file is removed and the
+/// target is left as it was. Returns what `write` returned; I/O errors
+/// reach the caller's error type through its `From<std::io::Error>`.
+pub fn write_atomically<R, E: From<std::io::Error>>(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut dyn Write) -> std::result::Result<R, E>,
+) -> std::result::Result<R, E> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.qztmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let io_err = |e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+    };
+    let result = (|| {
+        let mut sink = BufWriter::new(File::create(&tmp).map_err(io_err)?);
+        let result = write(&mut sink)?;
+        let file = sink.into_inner().map_err(|e| io_err(e.into_error()))?;
+        file.sync_all().map_err(io_err)?;
         std::fs::rename(&tmp, path).map_err(io_err)?;
-        Ok(written)
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir).and_then(|d| d.sync_all()).map_err(io_err)?;
+        Ok(result)
     })();
-    if written.is_err() {
+    if result.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    written
+    result
 }
 
 #[cfg(test)]
@@ -258,7 +277,7 @@ mod tests {
         std::fs::write(&path, b"old archive").unwrap();
         // A write that fails part-way leaves the target as it was and
         // no temp file behind.
-        let failed = write_atomically(&path, |sink| {
+        let failed: Result<()> = write_atomically(&path, |sink| {
             sink.write_all(b"half").map_err(sink_error)?;
             Err(ArchiveError::Truncated)
         });

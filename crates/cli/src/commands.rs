@@ -9,7 +9,7 @@ use crate::args::{Command, USAGE};
 use crate::rawio;
 use crate::CliError;
 use qoz_api::{PlanOutcome, Session, Target};
-use qoz_archive::{ArchiveReader, ArchiveWriter};
+use qoz_archive::{write_atomically, ArchiveReader, ArchiveWriter};
 use qoz_codec::stream::ErrorBound;
 use qoz_metrics::QualityReport;
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
@@ -25,7 +25,9 @@ fn compress_one<T: Scalar>(
     let raw_bytes = data.len() * T::BYTES;
     match session.target() {
         Target::Bound(_) => {
-            let stats = write_atomically(output, |sink| Ok(session.compress_into(data, sink)?))?;
+            let stats = write_atomically(output, |sink| {
+                session.compress_into(data, sink).map_err(CliError::from)
+            })?;
             Ok(format!(
                 "{input} -> {output}: {} -> {} bytes (CR {:.2}x)",
                 stats.raw_bytes,
@@ -37,10 +39,7 @@ fn compress_one<T: Scalar>(
             // Quality-first: the search produces the blob plus the bound
             // and metric it settled on — report all of it.
             let out = session.compress(data)?;
-            write_atomically(output, |sink| {
-                std::io::Write::write_all(sink, &out.blob)?;
-                Ok(())
-            })?;
+            write_atomically(output, |sink| sink.write_all(&out.blob))?;
             let (label, unit) = match target {
                 Target::Psnr(_) => ("PSNR", " dB"),
                 Target::Ssim(_) => ("SSIM", ""),
@@ -112,10 +111,7 @@ fn compress_series<T: Scalar>(
             (out, tag)
         };
         let output = format!("{outdir}/{name}.qz");
-        write_atomically(&output, |sink| {
-            std::io::Write::write_all(sink, &out.blob)?;
-            Ok(())
-        })?;
+        write_atomically(&output, |sink| sink.write_all(&out.blob))?;
         lines.push(format!(
             "{input} -> {output}: {} -> {} bytes (CR {:.2}x, {tag})",
             out.stats.raw_bytes,
@@ -214,34 +210,6 @@ fn outcome_tag(outcome: u8) -> &'static str {
         3 => "warm, rescaled",
         4 => "retuned",
         _ => "untracked",
-    }
-}
-
-/// Stream into a sibling temp file and rename over `output` on success,
-/// so a mid-write failure never truncates an existing output.
-fn write_atomically<R>(
-    output: &str,
-    write: impl FnOnce(&mut dyn std::io::Write) -> Result<R, CliError>,
-) -> Result<R, CliError> {
-    // Pid-unique temp name: concurrent writers to the same output must
-    // not share (and interleave into) one temp file.
-    let tmp = format!("{output}.{}.qztmp", std::process::id());
-    let attempt = || -> Result<R, CliError> {
-        let file = std::fs::File::create(&tmp)
-            .map_err(|e| CliError::runtime(format!("cannot create {tmp}: {e}")))?;
-        let mut sink = std::io::BufWriter::new(file);
-        let result = write(&mut sink)?;
-        std::io::Write::flush(&mut sink)?;
-        std::fs::rename(&tmp, output)
-            .map_err(|e| CliError::runtime(format!("cannot write {output}: {e}")))?;
-        Ok(result)
-    };
-    match attempt() {
-        Ok(result) => Ok(result),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
     }
 }
 
@@ -555,10 +523,7 @@ pub fn run(cmd: Command) -> Result<Vec<String>, CliError> {
                     .map_err(remote_err)?;
                 (o, b, data.len() * 4)
             };
-            write_atomically(&output, |sink| {
-                std::io::Write::write_all(sink, &blob)?;
-                Ok(())
-            })?;
+            write_atomically(&output, |sink| sink.write_all(&blob))?;
             Ok(vec![format!(
                 "{input} -> {output} via {server}: {raw_bytes} -> {} bytes \
                  (CR {:.2}x, {})",

@@ -14,16 +14,8 @@
 //!   saturates, at which point the bytes-on-the-wire reduction from a
 //!   higher compression ratio dominates end-to-end dump/load time.
 
-//! * [`pool`] — the resident-service counterpart of [`parallel`]: a
-//!   bounded-admission [`BoundedQueue`] (producers shed load, never
-//!   block) and a [`WorkerPool`] whose workers own private state and
-//!   survive job panics by replacement — the substrate `qoz_serve`
-//!   dispatches requests onto.
-
 pub mod iomodel;
 pub mod parallel;
-pub mod pool;
 
 pub use iomodel::{IoModel, IoTiming};
 pub use parallel::{chunk_along_dim0, compress_chunks, decompress_chunks};
-pub use pool::{BoundedQueue, WorkerPool};

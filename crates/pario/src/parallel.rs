@@ -97,30 +97,30 @@ where
     .collect()
 }
 
-/// Reassemble chunks produced by [`chunk_along_dim0`].
-pub fn reassemble_dim0<T: Scalar>(chunks: &[NdArray<T>]) -> NdArray<T> {
-    assert!(!chunks.is_empty());
-    let first = chunks[0].shape();
-    let nd = first.ndim();
-    let total0: usize = chunks.iter().map(|c| c.shape().dim(0)).sum();
-    let mut dims = first.dims().to_vec();
-    dims[0] = total0;
-    let shape = Shape::new(&dims);
-    let mut out = NdArray::<T>::zeros(shape);
-    let mut start = 0usize;
-    for c in chunks {
-        let mut origin = vec![0usize; nd];
-        origin[0] = start;
-        out.insert_region(&Region::new(&origin, c.shape().dims()), c);
-        start += c.shape().dim(0);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qoz_tensor::Shape;
+
+    /// Reassemble chunks produced by [`chunk_along_dim0`].
+    fn reassemble_dim0<T: Scalar>(chunks: &[NdArray<T>]) -> NdArray<T> {
+        assert!(!chunks.is_empty());
+        let first = chunks[0].shape();
+        let nd = first.ndim();
+        let total0: usize = chunks.iter().map(|c| c.shape().dim(0)).sum();
+        let mut dims = first.dims().to_vec();
+        dims[0] = total0;
+        let shape = Shape::new(&dims);
+        let mut out = NdArray::<T>::zeros(shape);
+        let mut start = 0usize;
+        for c in chunks {
+            let mut origin = vec![0usize; nd];
+            origin[0] = start;
+            out.insert_region(&Region::new(&origin, c.shape().dims()), c);
+            start += c.shape().dim(0);
+        }
+        out
+    }
 
     fn data() -> NdArray<f32> {
         NdArray::from_fn(Shape::d3(25, 16, 16), |i| {

@@ -1,10 +1,10 @@
 //! Transport abstraction: one [`Channel`] trait over TCP and Unix
 //! sockets.
 //!
-//! The daemon, the client, and the chaos layer all speak to a
-//! `Box<dyn Channel>`; whether bytes travel over `TcpStream` or
-//! `UnixStream` is decided once, at [`Endpoint`] parse time, and never
-//! leaks into protocol or server code. An [`Endpoint`] is written
+//! The daemon, the client, and the test suite's fault injectors all
+//! speak to a `Box<dyn Channel>`; whether bytes travel over `TcpStream`
+//! or `UnixStream` is decided once, at [`Endpoint`] parse time, and
+//! never leaks into protocol or server code. An [`Endpoint`] is written
 //! `tcp:HOST:PORT` or `unix:PATH` (a bare string containing `/` is
 //! taken as a Unix socket path — the common case for a local daemon).
 

@@ -182,7 +182,7 @@ impl Client {
     fn backoff_duration(&mut self, attempt: u32) -> Duration {
         let base_ms = self.config.base_backoff.as_millis() as u64;
         let exp_ms = base_ms.saturating_mul(1 << attempt.min(16));
-        let jitter = 50 + crate::splitmix64(&mut self.rng) % 101; // 50..=150
+        let jitter = 50 + splitmix64(&mut self.rng) % 101; // 50..=150
         Duration::from_millis((exp_ms * jitter / 100).min(2000))
     }
 
@@ -298,6 +298,16 @@ fn decode_slab<T: Scalar>(
     }
     NdArray::from_le_bytes(Shape::new(dims), raw)
         .ok_or(ClientError::Unexpected("slab byte count disagrees"))
+}
+
+/// SplitMix64 step: the backoff jitter, which must replay exactly from
+/// the configured seed.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

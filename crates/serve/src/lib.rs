@@ -14,35 +14,36 @@
 //!   before validation; a hostile peer, or one speaking an older
 //!   protocol version, earns a typed error, never a panic or an
 //!   allocation proportional to a lied-about length.
-//! * **Bounded admission** ([`server`]) — requests queue into a
-//!   [`qoz_pario::BoundedQueue`]; when it is full the daemon answers
-//!   [`protocol::ErrorCode::Overloaded`] *immediately* instead of
-//!   buffering unbounded memory behind slow workers.
+//! * **Bounded admission** ([`server`]) — requests queue into one
+//!   bounded queue that a fixed set of worker threads drain; when it is
+//!   full the daemon answers [`protocol::ErrorCode::Overloaded`]
+//!   *immediately* instead of buffering unbounded memory behind slow
+//!   workers.
 //! * **Deadlines** — every request carries a budget; it is enforced at
 //!   dequeue and again between serving stages, so a request that missed
 //!   its window is dropped cheaply rather than served uselessly.
 //! * **Panic isolation** — a worker panic becomes a typed
-//!   [`protocol::ErrorCode::WorkerPanic`] response; the
-//!   [`qoz_pario::WorkerPool`] replaces the worker (with fresh state)
-//!   and the process never dies.
+//!   [`protocol::ErrorCode::WorkerPanic`] response; the worker rebuilds
+//!   its state from scratch and serves the next request, and the
+//!   process never dies.
 //! * **Graceful shutdown & warm restart** — SIGTERM (or a `Shutdown`
 //!   request) drains in-flight work, rejects new work with
 //!   [`protocol::ErrorCode::ShuttingDown`], and persists every tuned
 //!   plan ([`qoz_core::PlanSnapshot`]) to disk; a restarted daemon
 //!   primes its pipelines from that file and serves its first repeat
 //!   request warm, byte-identical to the cold path.
-//! * **Fault injection** (`chaos` module, feature `chaos`) — deterministic
-//!   torn writes, short reads, stalls and bit-flips wrap any channel or
-//!   archive byte source, so the robustness suite drives the *real*
-//!   daemon through the failures it claims to survive.
+//!
+//! No request kind, option or build feature asks a worker to panic: the
+//! fault-injection suite (`tests/fault_injection.rs`) wraps the client
+//! side of real connections in deterministic torn writes, short reads,
+//! stalls and bit-flips, and the panic path is unit-tested in
+//! [`server`] with a stand-in serve function.
 //!
 //! The [`Client`] pairs the protocol with bounded retries and jittered
 //! exponential backoff, retrying only errors the server marks
 //! transient.
 
 pub mod channel;
-#[cfg(feature = "chaos")]
-pub mod chaos;
 pub mod client;
 pub mod protocol;
 pub mod server;
@@ -89,14 +90,3 @@ pub use channel::{Channel, Endpoint, Listener};
 pub use client::{Client, ClientConfig, ClientError};
 pub use protocol::{ErrorCode, Request, Response, StatsSnapshot};
 pub use server::{Server, ServerConfig};
-
-/// SplitMix64: the workspace's tiny deterministic generator. Drives the
-/// client's backoff jitter and the chaos module's fault plans — both
-/// must replay exactly from a seed.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

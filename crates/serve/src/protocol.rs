@@ -58,9 +58,6 @@ pub mod kind {
     pub const SHUTDOWN: u8 = 0x05;
     /// Server counters.
     pub const STATS: u8 = 0x06;
-    /// Panic the handling worker. Only honored by servers built with
-    /// the `chaos` feature; everyone else answers `BadRequest`.
-    pub const CHAOS_PANIC: u8 = 0x7E;
 
     /// Response kinds mirror requests with the high bit set.
     pub const PONG: u8 = 0x81;
@@ -122,7 +119,6 @@ fn known_kind(k: u8) -> bool {
             | kind::REGION_READ
             | kind::SHUTDOWN
             | kind::STATS
-            | kind::CHAOS_PANIC
             | kind::PONG
             | kind::COMPRESSED
             | kind::DECOMPRESSED
@@ -260,7 +256,7 @@ pub enum ErrorCode {
     Overloaded = 3,
     /// The request's deadline expired before (or while) serving it.
     DeadlineExceeded = 4,
-    /// The handling worker panicked; it has been replaced.
+    /// The handling worker panicked; its state has been rebuilt.
     WorkerPanic = 5,
     /// The server is draining for shutdown.
     ShuttingDown = 6,
@@ -379,8 +375,6 @@ pub enum Request {
     Shutdown,
     /// Server counters.
     Stats,
-    /// Panic the worker (chaos builds only).
-    ChaosPanic,
 }
 
 impl Request {
@@ -393,7 +387,6 @@ impl Request {
             Request::RegionRead { .. } => kind::REGION_READ,
             Request::Shutdown => kind::SHUTDOWN,
             Request::Stats => kind::STATS,
-            Request::ChaosPanic => kind::CHAOS_PANIC,
         }
     }
 
@@ -401,7 +394,7 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
-            Request::Ping | Request::Shutdown | Request::Stats | Request::ChaosPanic => {}
+            Request::Ping | Request::Shutdown | Request::Stats => {}
             Request::Compress {
                 name,
                 scalar_tag,
@@ -449,7 +442,6 @@ impl Request {
             kind::PING => Request::Ping,
             kind::SHUTDOWN => Request::Shutdown,
             kind::STATS => Request::Stats,
-            kind::CHAOS_PANIC => Request::ChaosPanic,
             kind::COMPRESS => {
                 let name = get_string(&mut r, "variable name")?;
                 let scalar_tag = r.get_u8()?;
@@ -528,7 +520,7 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Requests that missed their deadline.
     pub deadline_missed: u64,
-    /// Handler panics caught (== workers replaced).
+    /// Handler panics caught (== worker states rebuilt).
     pub worker_panics: u64,
     /// Malformed frames answered with `BadFrame`.
     pub bad_frames: u64,
@@ -830,7 +822,6 @@ mod tests {
         roundtrip_req(Request::Ping);
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::Stats);
-        roundtrip_req(Request::ChaosPanic);
         roundtrip_req(Request::Compress {
             name: "rho".into(),
             scalar_tag: 0x32,

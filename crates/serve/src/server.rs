@@ -13,19 +13,27 @@
 //!                        BoundedQueue ──pop──► worker (owns pipelines,
 //!                               ▲              scratch, archive readers)
 //!                               │ deadline at dequeue and between stages
-//!                               │ panic? → WorkerPanic reply, worker replaced
+//!                               │ panic? → WorkerPanic reply, state rebuilt
 //!                               ▼
 //!                        response channel ──► connection thread ──► client
 //! ```
 //!
+//! [`Server::start`] spawns `workers` plain threads over the one queue;
+//! each loops `pop` → `WorkerState::run` until [`Server::shutdown`]
+//! closes the queue and joins them. A panic while serving is caught
+//! once, in `run`: the client gets `WorkerPanic`, the worker swaps its
+//! possibly half-mutated state for a fresh one, and the same thread
+//! serves the next job.
+//!
 //! # Warm restart
 //!
 //! Every cold tune or retune publishes its [`PlanSnapshot`] to a shared
-//! map; graceful shutdown writes the map (atomically, temp + rename) to
-//! `plan_path`. A restarting daemon reads the file and primes each
-//! freshly created pipeline, so the first repeat request after a
-//! restart reports `WarmHit` and returns bytes identical to the cold
-//! path — the cache never changes the format, only the time.
+//! map; graceful shutdown writes the map to `plan_path` through
+//! [`qoz_archive::write_atomically`] (temp file synced, renamed over the
+//! target, directory synced). A restarting daemon reads the file and
+//! primes each freshly created pipeline, so the first repeat request
+//! after a restart reports `WarmHit` and returns bytes identical to the
+//! cold path — the cache never changes the format, only the time.
 
 use crate::channel::{Channel, Endpoint, Listener};
 use crate::protocol::{
@@ -36,14 +44,14 @@ use qoz_archive::{ArchiveError, ArchiveReader, FileSource};
 use qoz_codec::stream::ErrorBound;
 use qoz_codec::{CodecError, Scratch};
 use qoz_core::{PlanOutcome, PlanSnapshot};
-use qoz_pario::pool::{wait_until, WorkerPool};
 use qoz_tensor::{NdArray, Region, Scalar, Shape};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the daemon listens, queues, and times out.
@@ -57,10 +65,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Deadline budget applied when a request says `budget_ms == 0`.
     pub default_budget: Duration,
-    /// How long a graceful shutdown waits for in-flight work.
-    pub drain_timeout: Duration,
-    /// Request frames larger than this are rejected unread.
-    pub max_frame: usize,
     /// Where tuned plans are persisted at shutdown / primed at startup.
     pub plan_path: Option<PathBuf>,
     /// Root under which `RegionRead` archive paths resolve. `None`
@@ -81,8 +85,6 @@ impl ServerConfig {
             workers: 2,
             queue_depth: 32,
             default_budget: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(10),
-            max_frame: MAX_PAYLOAD,
             plan_path: None,
             archive_root: None,
             worker_delay: Duration::ZERO,
@@ -90,16 +92,18 @@ impl ServerConfig {
     }
 }
 
+/// How long a graceful shutdown waits for in-flight work.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Request kinds in wire order; the `kind` label values of the
 /// per-request metric families.
-const KIND_NAMES: [&str; 7] = [
+const KIND_NAMES: [&str; 6] = [
     "ping",
     "compress",
     "decompress",
     "region_read",
     "shutdown",
     "stats",
-    "chaos_panic",
 ];
 
 /// Plan-cache outcome label values, `qoz_plan_cache_total{outcome=…}`.
@@ -133,7 +137,7 @@ struct Metrics {
     /// Plan-cache outcomes, indexed per [`PLAN_OUTCOME_NAMES`].
     plan_outcomes: [Arc<qoz_telemetry::Counter>; 4],
     /// Per-request-kind instruments, indexed per [`KIND_NAMES`].
-    kinds: [KindMetrics; 7],
+    kinds: [KindMetrics; 6],
 }
 
 impl std::fmt::Debug for Metrics {
@@ -186,7 +190,6 @@ impl Metrics {
             Request::RegionRead { .. } => 3,
             Request::Shutdown => 4,
             Request::Stats => 5,
-            Request::ChaosPanic => 6,
         };
         &self.kinds[idx]
     }
@@ -212,7 +215,7 @@ impl Metrics {
     /// Legacy counters derived from the registry, plus the full
     /// telemetry extension: this server's instruments merged with the
     /// process-global layer metrics (pipeline outcomes, archive I/O,
-    /// pool health) and the per-stage timers.
+    /// worker jobs and rebuilds) and the per-stage timers.
     fn snapshot(&self) -> StatsSnapshot {
         let mut telemetry = self.registry.snapshot();
         telemetry.merge(&qoz_telemetry::global().snapshot());
@@ -294,12 +297,26 @@ struct Shared {
     plans: Mutex<HashMap<PlanKey, PlanSnapshot>>,
 }
 
+impl Shared {
+    fn new(config: ServerConfig) -> Shared {
+        Shared {
+            metrics: Metrics::new(),
+            draining: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            pending: AtomicU64::new(0),
+            plans: Mutex::new(load_plans(config.plan_path.as_deref())),
+            config,
+        }
+    }
+}
+
 /// A running daemon. Dropping the handle does **not** stop the server;
 /// call [`Server::shutdown`] for a graceful exit.
 pub struct Server {
     shared: Arc<Shared>,
-    pool: WorkerPool<Job>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    queue: Arc<BoundedQueue<Job>>,
+    workers: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     endpoint: Endpoint,
 }
 
@@ -317,35 +334,25 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = Listener::bind(&config.endpoint)?;
         let endpoint = listener.local_endpoint();
-        let shared = Arc::new(Shared {
-            metrics: Metrics::new(),
-            draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            pending: AtomicU64::new(0),
-            plans: Mutex::new(load_plans(config.plan_path.as_deref())),
-            config,
-        });
-        let pool = {
-            let shared = Arc::clone(&shared);
-            WorkerPool::new(
-                shared.config.workers.max(1),
-                shared.config.queue_depth.max(1),
-                move || {
-                    let shared = Arc::clone(&shared);
-                    let mut state = WorkerState::default();
-                    move |job: Job| state.run(&shared, job)
-                },
-            )
-        };
+        let shared = Arc::new(Shared::new(config));
+        let queue = Arc::new(BoundedQueue::new(shared.config.queue_depth.max(1)));
+        let workers = (0..shared.config.workers.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || worker_loop(&shared, &queue))
+            })
+            .collect();
         let accept = {
             let shared = Arc::clone(&shared);
-            let queue = pool.queue();
+            let queue = Arc::clone(&queue);
             std::thread::spawn(move || accept_loop(listener, shared, queue))
         };
         Ok(Server {
             shared,
-            pool,
-            accept: Some(accept),
+            queue,
+            workers,
+            accept,
             endpoint,
         })
     }
@@ -393,24 +400,31 @@ impl Server {
         wait_until(timeout, || self.is_draining())
     }
 
-    /// Graceful shutdown: drain in-flight work (bounded by
-    /// `drain_timeout`), stop the workers and the accept loop, persist
+    /// Graceful shutdown: drain in-flight work (for at most 10 s), stop
+    /// the accept loop, close the queue and join the workers, persist
     /// tuned plans. Returns the number of plans written.
-    pub fn shutdown(mut self) -> std::io::Result<usize> {
+    pub fn shutdown(self) -> std::io::Result<usize> {
         self.begin_shutdown();
-        let shared = Arc::clone(&self.shared);
-        let queue = self.pool.queue();
+        let Server {
+            shared,
+            queue,
+            workers,
+            accept,
+            ..
+        } = self;
         // In-flight = admitted but unanswered. Draining is best-effort:
         // a wedged client cannot hold the daemon hostage past the
         // timeout.
-        wait_until(shared.config.drain_timeout, || {
+        wait_until(DRAIN_TIMEOUT, || {
             shared.pending.load(Ordering::SeqCst) == 0 && queue.is_empty()
         });
         shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        let _ = accept.join();
+        // Workers finish what is still queued, then see the queue closed.
+        queue.close();
+        for worker in workers {
+            let _ = worker.join();
         }
-        self.pool.shutdown();
         let plans: Vec<PlanSnapshot> = {
             let map = shared.plans.lock().expect("plan map lock poisoned");
             map.values().cloned().collect()
@@ -440,20 +454,18 @@ fn load_plans(path: Option<&std::path::Path>) -> HashMap<PlanKey, PlanSnapshot> 
     map
 }
 
-/// Write the plan file atomically: a crash mid-write leaves the old
-/// file (or none), never a torn one.
+/// Write the plan file durably: a crash mid-write leaves the old file
+/// (or none), never a torn one.
 fn persist_plans(path: &std::path::Path, plans: &[PlanSnapshot]) -> std::io::Result<()> {
     let bytes = qoz_core::encode_snapshots(plans);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)
+    qoz_archive::write_atomically(path, |sink| sink.write_all(&bytes))
 }
 
 // ---------------------------------------------------------------------------
 // Accept + connection threads
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: Listener, shared: Arc<Shared>, queue: Arc<qoz_pario::BoundedQueue<Job>>) {
+fn accept_loop(listener: Listener, shared: Arc<Shared>, queue: Arc<BoundedQueue<Job>>) {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(Some(chan)) => {
@@ -504,11 +516,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-fn connection_loop(
-    mut chan: Box<dyn Channel>,
-    shared: Arc<Shared>,
-    queue: Arc<qoz_pario::BoundedQueue<Job>>,
-) {
+fn connection_loop(mut chan: Box<dyn Channel>, shared: Arc<Shared>, queue: Arc<BoundedQueue<Job>>) {
     // A stalled client may never drain our response: bound the write.
     let _ = chan.set_write_timeout(Some(FRAME_IO_TIMEOUT));
     loop {
@@ -536,7 +544,7 @@ fn connection_loop(
             first: Some(first[0]),
             inner: &mut chan,
         };
-        let (kind_byte, payload) = match read_frame(&mut replay, shared.config.max_frame) {
+        let (kind_byte, payload) = match read_frame(&mut replay, MAX_PAYLOAD) {
             Ok(fr) => fr,
             Err(FrameError::Io(_)) => return, // torn frame / disconnect
             Err(typed) => {
@@ -602,7 +610,7 @@ fn connection_loop(
 
 /// Admission control: draining and overload are decided *here*, before
 /// any memory or worker time is spent on the request.
-fn admit(request: Request, shared: &Shared, queue: &qoz_pario::BoundedQueue<Job>) -> Response {
+fn admit(request: Request, shared: &Shared, queue: &BoundedQueue<Job>) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::Error {
             code: ErrorCode::ShuttingDown,
@@ -659,12 +667,119 @@ fn respond(chan: &mut Box<dyn Channel>, shared: &Shared, resp: Response) -> bool
 }
 
 // ---------------------------------------------------------------------------
+// Admission queue
+// ---------------------------------------------------------------------------
+
+/// A closeable bounded MPMC queue: producers never block, consumers do.
+/// [`BoundedQueue::try_push`] hands the job back when the queue is full,
+/// so the connection thread sheds load explicitly instead of queueing
+/// unbounded memory behind slow workers.
+struct BoundedQueue<J> {
+    inner: Mutex<QueueInner<J>>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+struct QueueInner<J> {
+    items: VecDeque<J>,
+    closed: bool,
+}
+
+impl<J> BoundedQueue<J> {
+    /// Create a queue admitting at most `capacity` pending jobs.
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "queue capacity must be positive");
+        BoundedQueue {
+            inner: Mutex::new(QueueInner {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Admit `job`, or hand it back: `Err` carries the rejected job when
+    /// the queue is full (shed it) or closed (shutting down). Never
+    /// blocks — this is the load-shedding edge.
+    fn try_push(&self, job: J) -> Result<(), J> {
+        let mut q = self.inner.lock().expect("queue lock poisoned");
+        if q.closed || q.items.len() >= self.capacity {
+            return Err(job);
+        }
+        q.items.push_back(job);
+        drop(q);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Block until a job is available (`Some`) or the queue is closed
+    /// *and* drained (`None` — the consumer's signal to exit).
+    fn pop(&self) -> Option<J> {
+        let mut q = self.inner.lock().expect("queue lock poisoned");
+        loop {
+            if let Some(job) = q.items.pop_front() {
+                return Some(job);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.ready.wait(q).expect("queue lock poisoned");
+        }
+    }
+
+    /// `true` when no jobs are waiting (racy by nature; for draining).
+    fn is_empty(&self) -> bool {
+        self.inner
+            .lock()
+            .expect("queue lock poisoned")
+            .items
+            .is_empty()
+    }
+
+    /// Close the queue: producers get their jobs back, consumers drain
+    /// what's left and then see `None`.
+    fn close(&self) {
+        self.inner.lock().expect("queue lock poisoned").closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Poll `done` every 2 ms until it returns true or `timeout` elapses;
+/// returns whether the condition was met. Precise enough for the
+/// second-scale waits of a drain.
+fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let start = Instant::now();
+    while !done() {
+        if start.elapsed() >= timeout {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+// ---------------------------------------------------------------------------
 // Workers
 // ---------------------------------------------------------------------------
 
+/// A worker thread: serve jobs until the queue is closed and drained.
+fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
+    let jobs = qoz_telemetry::global().counter("qoz_pool_jobs_total", &[]);
+    let mut state = WorkerState::default();
+    while let Some(job) = queue.pop() {
+        state.run(shared, job, WorkerState::serve);
+        jobs.inc();
+    }
+}
+
+/// How a worker turns a request into its response:
+/// [`WorkerState::serve`], or a stand-in in tests.
+type ServeFn = fn(&mut WorkerState, &Shared, Request, Instant) -> Response;
+
 /// Everything a worker owns privately: warm pipelines per (variable,
 /// scalar, bound), typed scratch arenas, and open archive readers.
-/// Rebuilt from scratch when a panic replaces the worker.
+/// Rebuilt from scratch after a panic.
 #[derive(Default)]
 struct WorkerState {
     pipes_f32: HashMap<PipeKey, Pipeline<f32>>,
@@ -675,7 +790,10 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn run(&mut self, shared: &Shared, job: Job) {
+    /// Answer one job through `serve`. A panic in `serve` is answered
+    /// with `WorkerPanic` and costs this worker its state, which may be
+    /// half-mutated; the thread itself goes on to the next job.
+    fn run(&mut self, shared: &Shared, job: Job, serve: ServeFn) {
         if !shared.config.worker_delay.is_zero() {
             std::thread::sleep(shared.config.worker_delay);
         }
@@ -691,21 +809,18 @@ impl WorkerState {
             let _ = resp.send(deadline_response());
             return;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.serve(shared, request, deadline)));
-        match outcome {
-            Ok(response) => {
-                let _ = resp.send(response);
+        let outcome = catch_unwind(AssertUnwindSafe(|| serve(self, shared, request, deadline)));
+        let response = outcome.unwrap_or_else(|_| {
+            *self = WorkerState::default();
+            qoz_telemetry::global()
+                .counter("qoz_pool_workers_replaced_total", &[])
+                .inc();
+            Response::Error {
+                code: ErrorCode::WorkerPanic,
+                message: "worker panicked serving this request; its state has been rebuilt".into(),
             }
-            Err(payload) => {
-                // Answer first, then let the panic continue so the pool
-                // replaces this worker (its state may be mid-mutation).
-                let _ = resp.send(Response::Error {
-                    code: ErrorCode::WorkerPanic,
-                    message: "worker panicked serving this request; worker replaced".into(),
-                });
-                resume_unwind(payload);
-            }
-        }
+        });
+        let _ = resp.send(response);
     }
 
     fn serve(&mut self, shared: &Shared, request: Request, deadline: Instant) -> Response {
@@ -749,7 +864,6 @@ impl WorkerState {
                 tolerant,
                 ..
             } => self.serve_region(shared, &archive, &var, &origin, &size, tolerant, deadline),
-            Request::ChaosPanic => chaos_panic_response(),
             // Control-plane kinds never reach the queue.
             Request::Ping | Request::Stats | Request::Shutdown => Response::Error {
                 code: ErrorCode::Internal,
@@ -978,21 +1092,6 @@ fn region_as<T: Scalar>(
     }
 }
 
-/// Chaos builds honor the request by panicking inside the worker — the
-/// whole point is to exercise the panic-isolation path end to end.
-#[cfg(feature = "chaos")]
-fn chaos_panic_response() -> Response {
-    panic!("chaos: panic requested by client")
-}
-
-#[cfg(not(feature = "chaos"))]
-fn chaos_panic_response() -> Response {
-    Response::Error {
-        code: ErrorCode::BadRequest,
-        message: "this server was built without the chaos feature".into(),
-    }
-}
-
 fn deadline_response() -> Response {
     Response::Error {
         code: ErrorCode::DeadlineExceeded,
@@ -1043,5 +1142,102 @@ fn error_from_api(e: &ApiError) -> Response {
     Response::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn compress_job(resp: mpsc::Sender<Response>) -> Job {
+        let data = NdArray::from_fn(Shape::d2(16, 12), |i| {
+            ((i[0] as f32) * 0.3).sin() + ((i[1] as f32) * 0.2).cos()
+        });
+        Job {
+            request: Request::Compress {
+                name: "field".into(),
+                scalar_tag: f32::TYPE_TAG,
+                dims: vec![16, 12],
+                bound: ErrorBound::Abs(1e-3),
+                budget_ms: 0,
+                raw: data.to_le_bytes(),
+            },
+            deadline: Instant::now() + Duration::from_secs(60),
+            resp,
+        }
+    }
+
+    /// Serves the request for real, so the worker now holds a warm
+    /// pipeline, then panics.
+    fn serve_then_panic(
+        state: &mut WorkerState,
+        shared: &Shared,
+        request: Request,
+        deadline: Instant,
+    ) -> Response {
+        state.serve(shared, request, deadline);
+        assert_eq!(state.pipes_f32.len(), 1);
+        panic!("injected fault after serving");
+    }
+
+    #[test]
+    fn panicking_serve_is_answered_and_the_same_worker_serves_on_with_fresh_state() {
+        let shared = Shared::new(ServerConfig::new(Endpoint::Unix("unused.sock".into())));
+        let rebuilt = qoz_telemetry::global().counter("qoz_pool_workers_replaced_total", &[]);
+        let rebuilt_before = rebuilt.get();
+        let mut state = WorkerState::default();
+        let (tx, rx) = mpsc::channel();
+
+        state.run(&shared, compress_job(tx.clone()), serve_then_panic);
+        let reply = rx.try_recv().expect("a panicking job is still answered");
+        match &reply {
+            Response::Error { code, .. } => assert_eq!(*code, ErrorCode::WorkerPanic),
+            other => panic!("wanted WorkerPanic, got {other:?}"),
+        }
+        assert!(state.pipes_f32.is_empty(), "the panicked state is gone");
+        assert_eq!(rebuilt.get(), rebuilt_before + 1);
+        // `respond` tallies every reply it sends; this one lands on the
+        // worker-panic counters.
+        shared.metrics.tally(&reply);
+        let stats = shared.metrics.snapshot();
+        assert_eq!(stats.worker_panics, 1);
+        let t = stats.telemetry.expect("snapshot carries telemetry");
+        assert_eq!(
+            t.counter("qoz_errors_total", &[("code", "worker_panic")]),
+            Some(1)
+        );
+
+        state.run(&shared, compress_job(tx), WorkerState::serve);
+        match rx.try_recv() {
+            // The first pass published its plan before panicking, so the
+            // rebuilt state's new pipeline is primed from it.
+            Ok(Response::Compressed { outcome, .. }) => assert_eq!(outcome, 2),
+            other => panic!("wanted Compressed, got {other:?}"),
+        }
+        assert_eq!(state.pipes_f32.len(), 1);
+        assert_eq!(rebuilt.get(), rebuilt_before + 1);
+    }
+
+    #[test]
+    fn try_push_sheds_when_full_and_when_closed() {
+        let q: BoundedQueue<u32> = BoundedQueue::new(2);
+        assert!(q.try_push(1).is_ok());
+        assert!(q.try_push(2).is_ok());
+        assert_eq!(q.try_push(3), Err(3), "full queue hands the job back");
+        assert_eq!(q.pop(), Some(1));
+        assert!(q.try_push(4).is_ok());
+        q.close();
+        assert_eq!(q.try_push(5), Err(5), "closed queue rejects");
+        // Drain continues after close...
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(4));
+        // ...then consumers see the end.
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn wait_until_times_out() {
+        assert!(!wait_until(Duration::from_millis(10), || false));
+        assert!(wait_until(Duration::from_secs(1), || true));
     }
 }

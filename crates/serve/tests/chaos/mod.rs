@@ -1,29 +1,26 @@
-//! Deterministic fault injection (feature `chaos`).
+//! Deterministic transport fault injection for the fault-injection
+//! suite.
 //!
 //! Robustness claims are only as good as the failures actually driven
-//! through the system. This module wraps the two byte boundaries the
-//! daemon trusts least — the network [`Channel`] and the archive
-//! [`ByteSource`] — with injectors that reproduce the classic failure
-//! menagerie *deterministically from a seed*: torn writes, short reads,
-//! stalls, and bit-flips. Determinism matters more than realism here; a
-//! fault that cannot be replayed cannot be debugged, so every fault is
-//! a pure function of the seed and the byte position, never of wall
-//! clock or scheduling.
+//! through the system. [`ChaosChannel`] wraps the byte boundary the
+//! daemon trusts least — a network [`Channel`] — with an injector that
+//! reproduces the classic failure menagerie *deterministically from a
+//! seed*: torn writes, short reads, stalls, and bit-flips. Determinism
+//! matters more than realism here; a fault that cannot be replayed
+//! cannot be debugged, so every fault is a pure function of the seed
+//! and the byte position, never of wall clock or scheduling.
 //!
-//! The injectors are plain wrappers: production code paths run
-//! unchanged underneath them, which is the point — the fault-injection
-//! suite exercises the *real* server and the *real* reader, not mocks.
+//! The injector is a plain wrapper around a real connection, so the
+//! suite exercises the *real* server, not a mock.
 
-use crate::channel::Channel;
-use qoz_archive::{ArchiveError, ByteSource};
+use qoz_datagen::noise::splitmix64;
+use qoz_serve::Channel;
 use std::io::{Read, Write};
 use std::time::Duration;
 
 /// One injectable fault at the transport layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Pass everything through untouched (the control arm).
-    None,
     /// Deliver only the first `after` outgoing bytes, then sever the
     /// connection — a mid-frame disconnect as the peer sees it.
     TornWrite {
@@ -54,10 +51,12 @@ impl Fault {
     /// positions are kept small so they land inside a frame header or
     /// early payload, where they bite hardest.
     pub fn from_seed(seed: u64) -> Fault {
-        let mut s = seed;
-        let roll = crate::splitmix64(&mut s);
-        let pos = crate::splitmix64(&mut s) % 32;
-        let bit = (crate::splitmix64(&mut s) % 8) as u8;
+        // The first three outputs of a SplitMix64 stream seeded with
+        // `seed`.
+        let draw = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let roll = draw(0);
+        let pos = draw(1) % 32;
+        let bit = (draw(2) % 8) as u8;
         match roll % 4 {
             0 => Fault::TornWrite { after: pos },
             1 => Fault::ShortRead { after: pos },
@@ -76,16 +75,6 @@ pub struct ChaosChannel {
     stalled: bool,
 }
 
-impl std::fmt::Debug for ChaosChannel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosChannel")
-            .field("fault", &self.fault)
-            .field("written", &self.written)
-            .field("read", &self.read)
-            .finish()
-    }
-}
-
 impl ChaosChannel {
     /// Wrap `inner`, injecting `fault`.
     pub fn new(inner: Box<dyn Channel>, fault: Fault) -> ChaosChannel {
@@ -101,11 +90,6 @@ impl ChaosChannel {
     /// Wrap `inner` with the fault derived from `seed`.
     pub fn from_seed(inner: Box<dyn Channel>, seed: u64) -> ChaosChannel {
         ChaosChannel::new(inner, Fault::from_seed(seed))
-    }
-
-    /// The injected fault (for test assertions/logs).
-    pub fn fault(&self) -> Fault {
-        self.fault
     }
 }
 
@@ -191,74 +175,9 @@ impl Channel for ChaosChannel {
     }
 }
 
-/// A [`ByteSource`] that damages an inner source: an optional bit-flip
-/// at an absolute offset and/or an apparent truncation.
-#[derive(Debug)]
-pub struct ChaosByteSource<S> {
-    inner: S,
-    flip: Option<(u64, u8)>,
-    truncate_at: Option<u64>,
-}
-
-impl<S: ByteSource> ChaosByteSource<S> {
-    /// Pass-through wrapper; add faults with the builder methods.
-    pub fn new(inner: S) -> Self {
-        ChaosByteSource {
-            inner,
-            flip: None,
-            truncate_at: None,
-        }
-    }
-
-    /// Flip `bit` of the byte at absolute `offset`.
-    pub fn with_bit_flip(mut self, offset: u64, bit: u8) -> Self {
-        self.flip = Some((offset, bit));
-        self
-    }
-
-    /// Make the source appear to end at `len` bytes.
-    pub fn with_truncation(mut self, len: u64) -> Self {
-        self.truncate_at = Some(len);
-        self
-    }
-}
-
-impl<S: ByteSource> ByteSource for ChaosByteSource<S> {
-    fn len(&self) -> u64 {
-        match self.truncate_at {
-            Some(t) => self.inner.len().min(t),
-            None => self.inner.len(),
-        }
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> qoz_archive::Result<Vec<u8>> {
-        if let Some(t) = self.truncate_at {
-            let end = offset
-                .checked_add(len as u64)
-                .ok_or(ArchiveError::Truncated)?;
-            if end > t {
-                return Err(ArchiveError::Truncated);
-            }
-        }
-        let mut bytes = self.inner.read_at(offset, len)?;
-        if let Some((at, bit)) = self.flip {
-            if at >= offset && at < offset + len as u64 {
-                bytes[(at - offset) as usize] ^= 1 << bit;
-            }
-        }
-        Ok(bytes)
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Endpoint, Listener};
-    use qoz_archive::SliceSource;
+    use qoz_serve::{Endpoint, Listener};
 
     fn unix_pair(tag: &str) -> (Box<dyn Channel>, Box<dyn Channel>) {
         let path = std::env::temp_dir()
@@ -284,7 +203,6 @@ mod tests {
         // The menu is actually diverse across seeds.
         let kinds: std::collections::HashSet<u8> = (0..64u64)
             .map(|s| match Fault::from_seed(s) {
-                Fault::None => 0,
                 Fault::TornWrite { .. } => 1,
                 Fault::ShortRead { .. } => 2,
                 Fault::Stall { .. } => 3,
@@ -332,22 +250,5 @@ mod tests {
         let mut got = Vec::new();
         server.read_to_end(&mut got).unwrap();
         assert_eq!(got, vec![0, 0, 0x80, 0, 0, 0]);
-    }
-
-    #[test]
-    fn chaos_byte_source_flips_and_truncates() {
-        let data: Vec<u8> = (0..=49).collect();
-        let flipped = ChaosByteSource::new(SliceSource::new(&data)).with_bit_flip(10, 0);
-        assert_eq!(flipped.read_at(8, 4).unwrap(), vec![8, 9, 11, 11]);
-        assert_eq!(
-            flipped.read_at(20, 2).unwrap(),
-            vec![20, 21],
-            "elsewhere untouched"
-        );
-
-        let short = ChaosByteSource::new(SliceSource::new(&data)).with_truncation(30);
-        assert_eq!(short.len(), 30);
-        assert!(short.read_at(28, 2).is_ok());
-        assert!(matches!(short.read_at(28, 4), Err(ArchiveError::Truncated)));
     }
 }

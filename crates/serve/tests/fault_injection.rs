@@ -10,6 +10,11 @@
 //!    errors (or explicit zero-filled degraded reads),
 //! 3. a killed-and-restarted daemon serves its first repeat request
 //!    from the persisted plan, byte-identical to the cold path.
+//!
+//! Transport faults come from [`chaos::ChaosChannel`], which wraps the
+//! client end of a real connection.
+
+mod chaos;
 
 use qoz_codec::ErrorBound;
 use qoz_serve::protocol::{kind, read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_PAYLOAD};
@@ -268,18 +273,34 @@ fn corrupt_frames_earn_typed_errors_and_daemon_stays_up() {
         .unwrap();
     drop(chan);
 
+    // (f) sound frame of kind 0x7E, which once asked a worker to panic:
+    // no request kind does that, so it is an unknown kind like any
+    // other, answered BadFrame.
+    let mut chan = ep.connect().unwrap();
+    write_frame(&mut chan, 0x7E, &[]).unwrap();
+    let (k, payload) = read_frame(&mut chan, MAX_PAYLOAD).unwrap();
+    match Response::decode(k, &payload).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+        other => panic!("wanted BadFrame for kind 0x7E, got {other:?}"),
+    }
+
     // After all of the above, the daemon is healthy.
     let mut client = quick_client(ep);
     client.ping().unwrap();
+    let data = test_field();
+    client
+        .compress("field", &data, ErrorBound::Abs(1e-3), 0)
+        .unwrap();
     let stats = client.stats().unwrap();
-    assert!(stats.bad_frames >= 4);
-    // The legacy aggregate splits into dedicated counters: (a)-(c) are
-    // frame-level damage, (d) is a structurally-lying payload.
+    assert!(stats.bad_frames >= 5);
+    assert_eq!(stats.worker_panics, 0);
+    // The legacy aggregate splits into dedicated counters: (a)-(c) and
+    // (f) are frame-level damage, (d) is a structurally-lying payload.
     let t = stats.telemetry.unwrap();
     assert!(
         t.counter("qoz_errors_total", &[("code", "bad_frame")])
             .unwrap_or(0)
-            >= 3
+            >= 4
     );
     assert!(
         t.counter("qoz_errors_total", &[("code", "bad_request")])
@@ -408,6 +429,11 @@ fn kill_and_restart_serves_first_repeat_request_warm_from_persisted_plans() {
     let persisted = server.shutdown().unwrap();
     assert!(persisted >= 1, "tuned plan written at shutdown");
     assert!(plan_path.exists());
+    // Written through `qoz_archive::write_atomically`: the temp file it
+    // renamed over the plan path is gone.
+    let mut tmp = plan_path.clone().into_os_string();
+    tmp.push(format!(".{}.qztmp", std::process::id()));
+    assert!(!std::path::Path::new(&tmp).exists());
 
     // Generation 2: a brand-new process-equivalent primed from disk.
     let mut config = ServerConfig::new(unix_ep("warm2"));
@@ -518,38 +544,9 @@ fn region_reads_serve_degraded_with_faults_and_strict_with_typed_error() {
     let _ = std::fs::remove_dir(&root);
 }
 
-#[cfg(feature = "chaos")]
 mod chaos_suite {
     use super::*;
-    use qoz_serve::chaos::ChaosChannel;
-
-    #[test]
-    fn worker_panic_is_isolated_answered_and_worker_replaced() {
-        let server = Server::start(ServerConfig::new(unix_ep("panic"))).unwrap();
-        let mut client = quick_client(server.endpoint());
-        match client.call(&Request::ChaosPanic) {
-            Err(qoz_serve::ClientError::Server { code, .. }) => {
-                assert_eq!(code, ErrorCode::WorkerPanic)
-            }
-            other => panic!("wanted WorkerPanic, got {other:?}"),
-        }
-        // The daemon is intact and the replacement worker serves.
-        let data = test_field();
-        client
-            .compress("field", &data, ErrorBound::Abs(1e-3), 0)
-            .unwrap();
-        let stats = client.stats().unwrap();
-        assert!(stats.worker_panics >= 1);
-        assert!(
-            stats
-                .telemetry
-                .unwrap()
-                .counter("qoz_errors_total", &[("code", "worker_panic")])
-                .unwrap_or(0)
-                >= 1
-        );
-        server.shutdown().unwrap();
-    }
+    use crate::chaos::ChaosChannel;
 
     #[test]
     fn torn_writes_and_short_reads_never_kill_the_daemon() {

@@ -283,7 +283,7 @@ impl Registry {
 }
 
 /// The process-wide default registry. Layer-level metrics (archive I/O,
-/// client retries, worker replacements) record here; daemons merge it
+/// client retries, worker state rebuilds) record here; daemons merge it
 /// into their exposition alongside their per-instance registry.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
